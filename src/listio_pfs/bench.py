@@ -220,9 +220,9 @@ def build_specs(config: BenchConfig, accesses: int | None) -> list:
         )
     elif w == "tiled":
         base = workloads.TiledSpec(tile_x=0, tile_y=0)
-        if config.clients != workloads.client_count(base):
+        if config.clients != base.client_count:
             raise BenchError(
-                f"tiled runs use {workloads.client_count(base)} clients, got "
+                f"tiled runs use {base.client_count} clients, got "
                 f"{config.clients}"
             )
     else:
@@ -407,8 +407,8 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
                     f"workload implies {len(specs)} clients, config says "
                     f"{config.clients}"
                 )
-            plans = [workloads.generate(s) for s in specs]
-            name = workloads.workload_name(specs[0])
+            plans = [s.generate() for s in specs]
+            name = specs[0].name
             image = None
             if direction == "read" or config.verify:
                 image = workloads.oracle_file_image(specs, config.seed)
@@ -498,26 +498,19 @@ def report_rows(report: BenchReport) -> list[str]:
         accesses = "-" if cell.accesses is None else str(cell.accesses)
         direction_major = ("wire_bytes_read" if cell.direction == "read"
                            else "wire_bytes_written")
-        for rep in cell.reps:
-            m = rep.merged
+
+        def row(rep, m: ClientMetrics, wall: float) -> str:
             moved = getattr(m, direction_major)
             fraction = m.useful_bytes / moved if moved else 0.0
-            rows.append(
+            return (
                 f"{cell.workload},{cell.strategy},{cell.clients},{accesses},"
-                f"{rep.rep},{m.logical_requests},{m.server_messages},"
+                f"{rep},{m.logical_requests},{m.server_messages},"
                 f"{m.wire_bytes_read},{m.wire_bytes_written},{m.useful_bytes},"
-                f"{fraction!r},{int(rep.wall * 1e6)},{verified}"
+                f"{fraction!r},{int(wall * 1e6)},{verified}"
             )
-        m = cell.reps[0].merged
-        moved = getattr(m, direction_major)
-        fraction = m.useful_bytes / moved if moved else 0.0
-        mean_wall = cell.mean_wall
-        rows.append(
-            f"{cell.workload},{cell.strategy},{cell.clients},{accesses},"
-            f"mean,{m.logical_requests},{m.server_messages},"
-            f"{m.wire_bytes_read},{m.wire_bytes_written},{m.useful_bytes},"
-            f"{fraction!r},{int(mean_wall * 1e6)},{verified}"
-        )
+
+        rows.extend(row(r.rep, r.merged, r.wall) for r in cell.reps)
+        rows.append(row("mean", cell.reps[0].merged, cell.mean_wall))
     return rows
 
 

@@ -1,15 +1,20 @@
 """Client library: file sessions, the list API, and the access strategies.
 
 A FileSession talks to the manager for metadata and the token, and directly
-to the I/O daemons for data. Three strategies satisfy a noncontiguous
-access plan:
+to the I/O daemons for data. Every data request goes through one executor,
+_exchange: it takes an opcode, sorted file regions and a view holding their
+bytes in file order, fans the request out per server with regions.fan_out,
+moves the bytes, checks reply lengths and counts the traffic. The three
+strategies differ only in the logical requests they hand it:
 
-* multiple I/O    - one contiguous request per transfer piece;
-* data sieving    - fetch the plan's file extent in large windows and
-                    scatter/overlay in client memory (writes read-modify-write
-                    under the manager's per-file token);
-* list I/O        - batches of up to 64 file regions per request, carried as
-                    trailing data.
+* multiple I/O    - one contiguous READ/WRITE per transfer piece, straight
+                    from the piece's memory span;
+* data sieving    - one contiguous READ per window of the plan's file
+                    extent, scattered from a scratch buffer; writes overlay
+                    the window and WRITE it back (read-modify-write under
+                    the manager's per-file token);
+* list I/O        - one READ_LIST/WRITE_LIST per batch of up to 64 file
+                    regions, carried as trailing data.
 
 All strategies move byte-identical data; they differ in request counts and
 in how much unwanted data crosses the wire, which ClientMetrics records.
@@ -32,13 +37,16 @@ from .errors import (
     ProtocolError,
     TokenError,
 )
-from .regions import (
+# server_spans and stripe_chunks run inside fan_out. They stay importable from
+# here because the benchmark's layer trace (perfbench/layers.py) times the
+# regions functions this module imports, and its tests expect these names.
+from .regions import (  # noqa: F401
     DEFAULT_REGION_LIMIT,
-    Region,
     RegionList,
     StripingParams,
     batch_regions,
     extent,
+    fan_out,
     inverse_stripe_location,
     iter_transfer_pieces,
     server_spans,
@@ -115,8 +123,7 @@ class AccessPlan:
     non-overlapping; the memory list may be in any order.
     """
 
-    __slots__ = ("mem", "file", "total_length", "_mem_starts", "_file_starts",
-                 "_file_offsets")
+    __slots__ = ("mem", "file", "total_length", "_mem_starts")
 
     def __init__(self, mem, file):
         mem = mem if isinstance(mem, RegionList) else RegionList(mem)
@@ -132,8 +139,6 @@ class AccessPlan:
         self.file = file
         self.total_length = file.total_length
         self._mem_starts: list[int] | None = None
-        self._file_starts: list[int] | None = None
-        self._file_offsets: list[int] | None = None
 
     def _mem_index(self) -> list[int]:
         if self._mem_starts is None:
@@ -145,27 +150,16 @@ class AccessPlan:
             self._mem_starts = starts
         return self._mem_starts
 
-    def _file_index(self) -> tuple[list[int], list[int]]:
-        if self._file_starts is None:
-            starts = [0] * len(self.file)
-            offsets = [0] * len(self.file)
-            pos = 0
-            for i, r in enumerate(self.file):
-                starts[i] = pos
-                offsets[i] = r.offset
-                pos += r.length
-            self._file_starts = starts
-            self._file_offsets = offsets
-        return self._file_starts, self._file_offsets
-
-    def file_pos(self, file_offset: int) -> int:
-        """Plan position of a byte that lies inside some file region."""
-        starts, offsets = self._file_index()
-        i = bisect_right(offsets, file_offset) - 1
-        return starts[i] + (file_offset - offsets[i])
-
-    def file_start(self, region_index: int) -> int:
-        return self._file_index()[0][region_index]
+    def mem_span(self, buffer, pos: int, length: int):
+        """The buffer slice holding plan bytes [pos, pos+length) when they
+        lie in one memory region, else None."""
+        starts = self._mem_index()
+        i = bisect_right(starts, pos) - 1
+        r = self.mem[i]
+        intra = pos - starts[i]
+        if intra + length > r.length:
+            return None
+        return buffer[r.offset + intra : r.offset + intra + length]
 
     def scatter(self, buffer, pos: int, data) -> None:
         """Copy plan bytes [pos, pos+len(data)) into the memory regions."""
@@ -187,18 +181,21 @@ class AccessPlan:
     def gather(self, buffer, pos: int, length: int) -> bytes:
         """Collect plan bytes [pos, pos+length) from the memory regions."""
         starts = self._mem_index()
+        regions = self.mem._regions
         i = bisect_right(starts, pos) - 1
-        parts = []
+        # One output buffer, not one bytes object per region: a batch of
+        # single-element regions would otherwise hold thousands at once.
+        out = bytearray(length)
         taken = 0
         while taken < length:
-            r = self.mem[i]
+            offset, size = regions[i]
             intra = pos - starts[i]
-            take = min(length - taken, r.length - intra)
-            parts.append(bytes(buffer[r.offset + intra : r.offset + intra + take]))
+            take = min(length - taken, size - intra)
+            out[taken : taken + take] = buffer[offset + intra : offset + intra + take]
             taken += take
             pos += take
             i += 1
-        return b"".join(parts)
+        return bytes(out)
 
 
 def _raise_for_status(status: int, detail: bytes) -> None:
@@ -356,88 +353,96 @@ def pvfs_close(session: FileSession) -> None:
     session.close()
 
 
-# -- contiguous primitives ------------------------------------------------
+# -- the executor ----------------------------------------------------------
 
-def _contig_read(session: FileSession, file_offset: int, out: memoryview) -> None:
-    """One logical contiguous read, fanned out per server slot."""
-    n = len(out)
-    if n == 0:
+def _exchange(session: FileSession, opcode: int, file_regions, view,
+              limit: int = DEFAULT_REGION_LIMIT) -> None:
+    """Carry out one logical request against the daemons.
+
+    `view` holds the bytes of the sorted `file_regions` in file order: reads
+    fill it, writes send it. List opcodes carry at most `limit` regions per
+    message. This is the only code that sends data requests to daemons and
+    the only code that counts them.
+    """
+    if not len(view):
         return
-    sp = session.striping
+    listed = opcode in wire.LIST_OPCODES
+    reading = opcode in (wire.READ, wire.READ_LIST)
     m = session.metrics
     m.logical_requests += 1
-    spans = server_spans(file_offset, n, sp)
-    if len(spans) == 1:
-        ((slot, span),) = spans.items()
-        session._daemon(slot).request(
-            wire.READ, handle=session.handle,
-            offset=span.offset, length=span.length, out=out,
-        )
-    else:
-        chunks = {}
-        for slot, span in spans.items():
-            chunks[slot] = session._daemon(slot).request(
-                wire.READ, handle=session.handle,
-                offset=span.offset, length=span.length,
+    for slot, local, runs in fan_out(file_regions, session.striping,
+                                     limit if listed else None):
+        total = local.total_length
+        offset, trailing = (0, local) if listed else (local[0].offset, None)
+        channel = session._daemon(slot)
+        # A message made of one run moves straight between socket and view.
+        direct = None
+        if len(runs) == 1:
+            pos, n = runs[0]
+            direct = view[pos : pos + n]
+        if reading:
+            reply = channel.request(
+                opcode, handle=session.handle, offset=offset, length=total,
+                regions=trailing, out=direct,
             )
-        for slot, local, pos, take in stripe_chunks(file_offset, n, sp):
-            start = local - spans[slot].offset
-            out[pos - file_offset : pos - file_offset + take] = memoryview(
-                chunks[slot]
-            )[start : start + take]
-    m.server_messages += len(spans)
-    m.wire_bytes_read += n
-
-
-def _contig_write(session: FileSession, file_offset: int, data) -> None:
-    """One logical contiguous write, fanned out per server slot."""
-    view = memoryview(data)
-    n = len(view)
-    if n == 0:
-        return
-    sp = session.striping
-    m = session.metrics
-    m.logical_requests += 1
-    spans = server_spans(file_offset, n, sp)
-    if len(spans) == 1:
-        ((slot, span),) = spans.items()
-        session._daemon(slot).request(
-            wire.WRITE, handle=session.handle,
-            offset=span.offset, length=span.length, payload=view,
-        )
-    else:
-        payloads = {slot: bytearray(span.length) for slot, span in spans.items()}
-        for slot, local, pos, take in stripe_chunks(file_offset, n, sp):
-            start = local - spans[slot].offset
-            payloads[slot][start : start + take] = view[
-                pos - file_offset : pos - file_offset + take
-            ]
-        for slot, span in spans.items():
-            session._daemon(slot).request(
-                wire.WRITE, handle=session.handle,
-                offset=span.offset, length=span.length, payload=payloads[slot],
+            got = reply if direct is not None else len(reply)
+            if got != total:
+                raise ProtocolError(
+                    f"{wire.OPCODE_NAMES[opcode]} returned {got} of {total} bytes"
+                )
+            if direct is None:
+                data = memoryview(reply)
+                taken = 0
+                for pos, n in runs:
+                    view[pos : pos + n] = data[taken : taken + n]
+                    taken += n
+            m.wire_bytes_read += total
+        else:
+            payload = direct
+            if payload is None:
+                payload = b"".join([view[pos : pos + n] for pos, n in runs])
+            channel.request(
+                opcode, handle=session.handle, offset=offset, length=total,
+                regions=trailing, payload=payload,
             )
-    m.server_messages += len(spans)
-    m.wire_bytes_written += n
+            m.wire_bytes_written += total
+        m.server_messages += 1
 
+
+def _accounted(session: FileSession, useful_bytes: int, body, *args) -> ClientMetrics:
+    """Run one API call's body, crediting its useful bytes and elapsed time
+    to the session; returns the call's own metrics."""
+    before = replace(session.metrics)
+    t0 = time.perf_counter()
+    body(*args)
+    session.metrics.useful_bytes += useful_bytes
+    session.metrics.elapsed += time.perf_counter() - t0
+    return session.metrics.minus(before)
+
+
+def _direction_opcode(direction: str, read_op: int, write_op: int) -> int:
+    if direction == "read":
+        return read_op
+    if direction == "write":
+        return write_op
+    raise ValueError(f"direction must be 'read' or 'write', got {direction!r}")
+
+
+# -- contiguous access -------------------------------------------------------
 
 def pvfs_read(session: FileSession, file_offset: int, out) -> int:
     """Read len(out) bytes at file_offset into the buffer span."""
     view = memoryview(out)
-    t0 = time.perf_counter()
-    _contig_read(session, file_offset, view)
-    session.metrics.useful_bytes += len(view)
-    session.metrics.elapsed += time.perf_counter() - t0
+    _accounted(session, len(view), _exchange, session, wire.READ,
+               ((file_offset, len(view)),), view)
     return len(view)
 
 
 def pvfs_write(session: FileSession, file_offset: int, data) -> int:
     """Write the buffer span at file_offset."""
     view = memoryview(data)
-    t0 = time.perf_counter()
-    _contig_write(session, file_offset, view)
-    session.metrics.useful_bytes += len(view)
-    session.metrics.elapsed += time.perf_counter() - t0
+    _accounted(session, len(view), _exchange, session, wire.WRITE,
+               ((file_offset, len(view)),), view)
     return len(view)
 
 
@@ -447,25 +452,16 @@ def access_multiple(
     session: FileSession, plan: AccessPlan, buffer, direction: str
 ) -> ClientMetrics:
     """One contiguous request per transfer piece, in plan order."""
-    _check_direction(direction)
-    before = replace(session.metrics)
-    t0 = time.perf_counter()
+    opcode = _direction_opcode(direction, wire.READ, wire.WRITE)
     view = memoryview(buffer)
-    if direction == "read":
-        for piece in iter_transfer_pieces(plan.mem, plan.file):
-            _contig_read(
-                session, piece.file_offset,
-                view[piece.mem_offset : piece.mem_offset + piece.length],
-            )
-    else:
-        for piece in iter_transfer_pieces(plan.mem, plan.file):
-            _contig_write(
-                session, piece.file_offset,
-                view[piece.mem_offset : piece.mem_offset + piece.length],
-            )
-    session.metrics.useful_bytes += plan.total_length
-    session.metrics.elapsed += time.perf_counter() - t0
-    return session.metrics.minus(before)
+
+    def body():
+        for mem_offset, file_offset, length in iter_transfer_pieces(plan.mem,
+                                                                    plan.file):
+            _exchange(session, opcode, ((file_offset, length),),
+                      view[mem_offset : mem_offset + length])
+
+    return _accounted(session, plan.total_length, body)
 
 
 def _window_fragments(plan: AccessPlan, buffer_size: int):
@@ -479,6 +475,7 @@ def _window_fragments(plan: AccessPlan, buffer_size: int):
     regions = plan.file
     count = len(regions)
     r = 0
+    r_pos = 0  # plan position of regions[r]
     ws = ext.offset
     while ws < ext.end:
         we = min(ws + buffer_size, ext.end)
@@ -490,12 +487,10 @@ def _window_fragments(plan: AccessPlan, buffer_size: int):
             start = max(reg.offset, ws)
             stop = min(reg.end, we)
             if start < stop:
-                fragments.append(
-                    (start, stop - start,
-                     plan.file_start(r) + (start - reg.offset))
-                )
+                fragments.append((start, stop - start, r_pos + start - reg.offset))
             if reg.end <= we:
                 r += 1
+                r_pos += reg.length
             else:
                 break
         if fragments:
@@ -503,25 +498,35 @@ def _window_fragments(plan: AccessPlan, buffer_size: int):
         ws = we
 
 
+def _sieve(session: FileSession, plan: AccessPlan, buffer,
+           cfg: SievingConfig, writing: bool) -> None:
+    """Read each non-empty extent window whole, then move the plan's bytes
+    out of it, or into it and write it back whole."""
+    if not len(plan.file):
+        return
+    view = memoryview(buffer)
+    scratch = bytearray(min(cfg.buffer_size, extent(plan.file).length))
+    for ws, wlen, fragments in _window_fragments(plan, cfg.buffer_size):
+        window = memoryview(scratch)[:wlen]
+        span = ((ws, wlen),)
+        _exchange(session, wire.READ, span, window)
+        for file_off, length, pos in fragments:
+            part = window[file_off - ws : file_off - ws + length]
+            if writing:
+                part[:] = plan.gather(view, pos, length)
+            else:
+                plan.scatter(view, pos, part)
+        if writing:
+            _exchange(session, wire.WRITE, span, window)
+
+
 def access_sieving_read(
     session: FileSession, plan: AccessPlan, buffer,
     cfg: SievingConfig | None = None,
 ) -> ClientMetrics:
     """Fetch the plan extent in large windows, scattering wanted bytes."""
-    cfg = cfg or SievingConfig()
-    before = replace(session.metrics)
-    t0 = time.perf_counter()
-    if len(plan.file):
-        view = memoryview(buffer)
-        scratch = bytearray(min(cfg.buffer_size, extent(plan.file).length))
-        for ws, wlen, fragments in _window_fragments(plan, cfg.buffer_size):
-            window = memoryview(scratch)[:wlen]
-            _contig_read(session, ws, window)
-            for file_off, length, pos in fragments:
-                plan.scatter(view, pos, window[file_off - ws : file_off - ws + length])
-    session.metrics.useful_bytes += plan.total_length
-    session.metrics.elapsed += time.perf_counter() - t0
-    return session.metrics.minus(before)
+    return _accounted(session, plan.total_length, _sieve,
+                      session, plan, buffer, cfg or SievingConfig(), False)
 
 
 def access_sieving_write(
@@ -534,27 +539,16 @@ def access_sieving_write(
     written back in full, so bytes outside the plan's regions survive. The
     token is held across all windows of the access.
     """
-    cfg = cfg or SievingConfig()
-    before = replace(session.metrics)
-    t0 = time.perf_counter()
-    if len(plan.file):
-        view = memoryview(buffer)
-        scratch = bytearray(min(cfg.buffer_size, extent(plan.file).length))
+    def body():
+        if not len(plan.file):
+            return
         session.acquire_token()
         try:
-            for ws, wlen, fragments in _window_fragments(plan, cfg.buffer_size):
-                window = memoryview(scratch)[:wlen]
-                _contig_read(session, ws, window)
-                for file_off, length, pos in fragments:
-                    window[file_off - ws : file_off - ws + length] = plan.gather(
-                        view, pos, length
-                    )
-                _contig_write(session, ws, window)
+            _sieve(session, plan, buffer, cfg or SievingConfig(), True)
         finally:
             session.release_token()
-    session.metrics.useful_bytes += plan.total_length
-    session.metrics.elapsed += time.perf_counter() - t0
-    return session.metrics.minus(before)
+
+    return _accounted(session, plan.total_length, body)
 
 
 def access_list(
@@ -565,60 +559,31 @@ def access_list(
 
     Logical requests count pre-striping batches of the plan's file regions;
     each involved daemon receives that batch's stripe fragments re-batched
-    at the same limit per wire message.
+    at the same limit per wire message. A batch whose plan bytes lie in one
+    memory region moves straight to and from the buffer; any other batch
+    is staged in file order and scattered or gathered once.
     """
-    _check_direction(direction)
-    cfg = cfg or ListIoConfig()
-    before = replace(session.metrics)
-    t0 = time.perf_counter()
+    opcode = _direction_opcode(direction, wire.READ_LIST, wire.WRITE_LIST)
+    limit = (cfg or ListIoConfig()).region_limit
     view = memoryview(buffer)
-    m = session.metrics
-    sp = session.striping
-    limit = cfg.region_limit
-    for batch in batch_regions(plan.file, limit):
-        m.logical_requests += 1
-        by_slot: dict[int, list[tuple[int, int, int]]] = {}
-        for reg in batch:
-            for slot, local, pos, take in stripe_chunks(reg.offset, reg.length, sp):
-                by_slot.setdefault(slot, []).append((local, pos, take))
-        for slot in sorted(by_slot):
-            fragments = by_slot[slot]
-            channel = session._daemon(slot)
-            for i in range(0, len(fragments), limit):
-                chunk = fragments[i : i + limit]
-                regions = RegionList._wrap(
-                    tuple(Region(local, take) for local, _pos, take in chunk)
-                )
-                total = regions.total_length
-                if direction == "read":
-                    data = channel.request(
-                        wire.READ_LIST, handle=session.handle,
-                        length=total, regions=regions,
-                    )
-                    if len(data) != total:
-                        raise ProtocolError(
-                            f"list read returned {len(data)} of {total} bytes"
-                        )
-                    taken = 0
-                    for _local, pos, take in chunk:
-                        plan.scatter(view, plan.file_pos(pos),
-                                     memoryview(data)[taken : taken + take])
-                        taken += take
-                    m.wire_bytes_read += total
-                else:
-                    payload = b"".join(
-                        plan.gather(view, plan.file_pos(pos), take)
-                        for _local, pos, take in chunk
-                    )
-                    channel.request(
-                        wire.WRITE_LIST, handle=session.handle,
-                        length=total, regions=regions, payload=payload,
-                    )
-                    m.wire_bytes_written += total
-                m.server_messages += 1
-    m.useful_bytes += plan.total_length
-    m.elapsed += time.perf_counter() - t0
-    return session.metrics.minus(before)
+
+    def body():
+        pos = 0
+        for batch in batch_regions(plan.file, limit):
+            n = batch.total_length
+            direct = plan.mem_span(view, pos, n)
+            if direct is not None:
+                _exchange(session, opcode, batch, direct, limit)
+            elif opcode == wire.READ_LIST:
+                staged = bytearray(n)
+                _exchange(session, opcode, batch, memoryview(staged), limit)
+                plan.scatter(view, pos, staged)
+            else:
+                _exchange(session, opcode, batch,
+                          memoryview(plan.gather(view, pos, n)), limit)
+            pos += n
+
+    return _accounted(session, plan.total_length, body)
 
 
 def pvfs_read_list(
@@ -642,8 +607,3 @@ def metrics_snapshot(session: FileSession) -> ClientMetrics:
     snap = session.metrics
     session.metrics = ClientMetrics()
     return snap
-
-
-def _check_direction(direction: str) -> None:
-    if direction not in ("read", "write"):
-        raise ValueError(f"direction must be 'read' or 'write', got {direction!r}")

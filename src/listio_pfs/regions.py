@@ -1,14 +1,15 @@
 """Byte-range algebra for striped files.
 
 Everything here is pure arithmetic over (offset, length) pairs: round-robin
-stripe mapping, splitting file ranges per server, pairing memory and file
-region lists into transfer pieces, batching, extents and coalescing. All
-offsets and lengths are byte counts that must fit in 64 bits.
+stripe mapping, fanning a request's file regions out as per-server
+messages, pairing memory and file region lists into transfer pieces,
+batching and extents. All offsets and lengths are byte counts that must
+fit in 64 bits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PlanError
 
@@ -151,8 +152,11 @@ def server_spans(offset: int, length: int, sp: StripingParams) -> dict[int, Regi
     if length <= 0:
         return {}
     end = offset + length
-    k0 = offset // sp.ssize
+    k0, within = divmod(offset, sp.ssize)
     k1 = (end - 1) // sp.ssize
+    if k0 == k1:  # one stripe: the common small request
+        return {(sp.base + k0) % sp.pcount:
+                Region((k0 // sp.pcount) * sp.ssize + within, length)}
     spans: dict[int, Region] = {}
     for rel in range(min(sp.pcount, k1 - k0 + 1)):
         k_first = k0 + rel
@@ -166,24 +170,75 @@ def server_spans(offset: int, length: int, sp: StripingParams) -> dict[int, Regi
     return spans
 
 
-def stripe_fragments(
-    regions: Iterable[Region], sp: StripingParams
-) -> Iterator[tuple[int, int, int, int]]:
-    """Stripe-bounded fragments of many regions: (server, local, file, length)."""
-    for r in regions:
-        yield from stripe_chunks(r.offset, r.length, sp)
+class Message(NamedTuple):
+    """One daemon request of a fanned-out logical request.
 
-
-def split_by_server(file_regions: RegionList, sp: StripingParams) -> dict[int, RegionList]:
-    """Split sorted, non-overlapping file regions into per-server local lists.
-
-    Regions spanning stripe edges are split there; fragments are never
-    re-merged, and each server's list comes out sorted by local offset.
+    `regions` are server-local and in wire order. `runs` are the
+    (position, length) stretches of the logical request's file-order bytes
+    that make up the message's bytes, in the same order.
     """
-    out: dict[int, list[Region]] = {}
-    for server, local, _pos, take in stripe_fragments(file_regions, sp):
-        out.setdefault(server, []).append(Region(local, take))
-    return {srv: RegionList._wrap(tuple(regs)) for srv, regs in out.items()}
+
+    slot: int
+    regions: RegionList
+    runs: list[tuple[int, int]]
+
+
+def split_by_server(
+    file_regions: Iterable[tuple[int, int]], sp: StripingParams,
+    limit: int = DEFAULT_REGION_LIMIT,
+) -> list[Message]:
+    """Fan sorted, non-overlapping file regions out as list messages.
+
+    Regions are cut at stripe edges and the fragments never re-merged, so
+    each local region has one run: its fragment's file-order position.
+    Each server receives its fragments sorted by local offset, at most
+    `limit` per message; servers come in slot order.
+    """
+    by_slot: dict[int, list[tuple[int, int, int]]] = {}
+    pos = 0
+    for offset, length in file_regions:
+        for slot, local, file_offset, take in stripe_chunks(offset, length, sp):
+            by_slot.setdefault(slot, []).append(
+                (local, take, pos + file_offset - offset)
+            )
+        pos += length
+    messages = []
+    for slot in sorted(by_slot):
+        fragments = by_slot[slot]
+        for i in range(0, len(fragments), limit):
+            chunk = fragments[i : i + limit]
+            messages.append(Message(
+                slot,
+                RegionList._wrap(tuple(Region(local, take)
+                                       for local, take, _pos in chunk)),
+                [(p, take) for _local, take, p in chunk],
+            ))
+    return messages
+
+
+def fan_out(
+    file_regions: Sequence[tuple[int, int]], sp: StripingParams,
+    limit: int | None = None,
+) -> list[Message]:
+    """The daemon messages of one logical request, whose bytes are taken
+    from its sorted file regions in file order.
+
+    With no limit the request is a contiguous operation on its one region:
+    one message per server touched, each a single local span. With a
+    limit it is a list operation, split as by split_by_server.
+    """
+    if limit is not None:
+        return split_by_server(file_regions, sp, limit)
+    ((offset, length),) = file_regions
+    spans = server_spans(offset, length, sp)
+    if len(spans) == 1:
+        ((slot, span),) = spans.items()
+        return [Message(slot, RegionList._wrap((span,), length), [(0, length)])]
+    runs: dict[int, list[tuple[int, int]]] = {slot: [] for slot in spans}
+    for slot, _local, file_offset, take in stripe_chunks(offset, length, sp):
+        runs[slot].append((file_offset - offset, take))
+    return [Message(slot, RegionList._wrap((span,), span.length), runs[slot])
+            for slot, span in spans.items()]
 
 
 def iter_transfer_pieces(
@@ -215,15 +270,6 @@ def iter_transfer_pieces(
         raise PlanError("memory and file lists cover different byte totals")
 
 
-def intersect_transfer_pieces(mem: RegionList, file: RegionList) -> list[TransferPiece]:
-    if mem.total_length != file.total_length:
-        raise PlanError(
-            f"memory covers {mem.total_length} bytes but file covers "
-            f"{file.total_length}"
-        )
-    return list(iter_transfer_pieces(mem, file))
-
-
 def count_transfer_pieces(mem: Iterable[Region], file: Iterable[Region]) -> int:
     """Piece count for (possibly lazily generated) region sequences."""
     n = 0
@@ -248,18 +294,6 @@ def extent(file_regions: RegionList) -> Region:
     first = file_regions[0]
     last = file_regions[len(file_regions) - 1]
     return Region(first.offset, last.end - first.offset)
-
-
-def coalesce(regions: RegionList) -> RegionList:
-    """Merge adjacent or overlapping regions of a sorted list."""
-    merged: list[Region] = []
-    for r in regions:
-        if merged and r.offset <= merged[-1].end:
-            prev = merged[-1]
-            merged[-1] = Region(prev.offset, max(prev.end, r.end) - prev.offset)
-        else:
-            merged.append(r)
-    return RegionList._wrap(tuple(merged))
 
 
 def useful_fraction(file_regions: RegionList) -> float:

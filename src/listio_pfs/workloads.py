@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 from .client import AccessPlan
 from .errors import WorkloadError
@@ -23,6 +23,8 @@ WORKLOADS = ("cyclic", "blockblock", "flash", "tiled")
 @dataclass(frozen=True)
 class CyclicSpec:
     """One-dimensional interleave: client c owns every N-th block."""
+
+    name: ClassVar[str] = "cyclic"
 
     clients: int
     client_id: int
@@ -48,8 +50,15 @@ class CyclicSpec:
     def file_bytes(self) -> int:
         return self.total_bytes
 
+    @property
+    def client_count(self) -> int:
+        return self.clients
+
     def for_client(self, client_id: int) -> "CyclicSpec":
         return replace(self, client_id=client_id)
+
+    def generate(self) -> AccessPlan:
+        return gen_cyclic(self)
 
 
 def gen_cyclic(spec: CyclicSpec) -> AccessPlan:
@@ -70,6 +79,8 @@ class BlockBlockSpec:
     block is emitted as accesses/(side/q) equal adjacent file regions, so
     region count equals the per-client access count.
     """
+
+    name: ClassVar[str] = "blockblock"
 
     grid: int
     row: int
@@ -111,8 +122,19 @@ class BlockBlockSpec:
     def file_bytes(self) -> int:
         return self.side_bytes * self.side_bytes
 
+    @property
+    def client_count(self) -> int:
+        return self.grid * self.grid
+
+    @property
+    def client_id(self) -> int:
+        return self.row * self.grid + self.col
+
     def for_client(self, client_id: int) -> "BlockBlockSpec":
         return replace(self, row=client_id // self.grid, col=client_id % self.grid)
+
+    def generate(self) -> AccessPlan:
+        return gen_blockblock(self)
 
 
 def gen_blockblock(spec: BlockBlockSpec) -> AccessPlan:
@@ -128,11 +150,6 @@ def gen_blockblock(spec: BlockBlockSpec) -> AccessPlan:
     return AccessPlan(mem, RegionList._wrap(tuple(regions)))
 
 
-def bytes_per_access(total_bytes: int, clients: int, accesses: int) -> float:
-    """Average payload of one access when a file is split this finely."""
-    return total_bytes / (clients * accesses)
-
-
 @dataclass(frozen=True)
 class FlashSpec:
     """Checkpoint pattern: per-processor blocks of guarded element cubes.
@@ -142,6 +159,8 @@ class FlashSpec:
     In file, data is ordered variable-major, then block, then processor,
     so each (variable, block) pair is one contiguous file region.
     """
+
+    name: ClassVar[str] = "flash"
 
     procs: int
     proc_id: int
@@ -197,8 +216,19 @@ class FlashSpec:
     def file_bytes(self) -> int:
         return self.procs * self.plan_bytes
 
+    @property
+    def client_count(self) -> int:
+        return self.procs
+
+    @property
+    def client_id(self) -> int:
+        return self.proc_id
+
     def for_client(self, client_id: int) -> "FlashSpec":
         return replace(self, proc_id=client_id)
+
+    def generate(self) -> AccessPlan:
+        return gen_flash(self)
 
 
 def flash_file_regions(spec: FlashSpec) -> Iterator[Region]:
@@ -236,6 +266,8 @@ def gen_flash(spec: FlashSpec) -> AccessPlan:
 @dataclass(frozen=True)
 class TiledSpec:
     """Row-major frame read by an overlapping grid of display tiles."""
+
+    name: ClassVar[str] = "tiled"
 
     tile_x: int
     tile_y: int
@@ -281,12 +313,23 @@ class TiledSpec:
     def tile_bytes(self) -> int:
         return self.tile_w * self.tile_h * self.bytes_per_pixel
 
+    @property
+    def client_count(self) -> int:
+        return self.tiles_x * self.tiles_y
+
+    @property
+    def client_id(self) -> int:
+        return self.tile_y * self.tiles_x + self.tile_x
+
     def for_client(self, client_id: int) -> "TiledSpec":
         return replace(
             self,
             tile_x=client_id % self.tiles_x,
             tile_y=client_id // self.tiles_x,
         )
+
+    def generate(self) -> AccessPlan:
+        return gen_tiled(self)
 
 
 def gen_tiled(spec: TiledSpec) -> AccessPlan:
@@ -302,41 +345,8 @@ def gen_tiled(spec: TiledSpec) -> AccessPlan:
 
 # -- shared entry points ----------------------------------------------------
 
-def generate(spec) -> AccessPlan:
-    if isinstance(spec, CyclicSpec):
-        return gen_cyclic(spec)
-    if isinstance(spec, BlockBlockSpec):
-        return gen_blockblock(spec)
-    if isinstance(spec, FlashSpec):
-        return gen_flash(spec)
-    if isinstance(spec, TiledSpec):
-        return gen_tiled(spec)
-    raise TypeError(f"not a workload spec: {spec!r}")
-
-
-def workload_name(spec) -> str:
-    return {
-        CyclicSpec: "cyclic",
-        BlockBlockSpec: "blockblock",
-        FlashSpec: "flash",
-        TiledSpec: "tiled",
-    }[type(spec)]
-
-
-def client_count(spec) -> int:
-    if isinstance(spec, CyclicSpec):
-        return spec.clients
-    if isinstance(spec, BlockBlockSpec):
-        return spec.grid * spec.grid
-    if isinstance(spec, FlashSpec):
-        return spec.procs
-    if isinstance(spec, TiledSpec):
-        return spec.tiles_x * spec.tiles_y
-    raise TypeError(f"not a workload spec: {spec!r}")
-
-
 def client_specs(base_spec) -> list:
-    return [base_spec.for_client(i) for i in range(client_count(base_spec))]
+    return [base_spec.for_client(i) for i in range(base_spec.client_count)]
 
 
 def client_stream(seed: int, workload: str, client_id: int, nbytes: int) -> bytes:
@@ -353,32 +363,19 @@ def oracle_file_image(specs: Sequence, seed: int) -> bytearray:
     """
     if not specs:
         raise WorkloadError("no client specs given")
-    name = workload_name(specs[0])
+    name = specs[0].name
     image = bytearray(specs[0].file_bytes)
     if name == "tiled":
         image[:] = random.Random(f"{seed}:tiled:file").randbytes(len(image))
         return image
     for spec in specs:
-        plan = generate(spec)
-        client_id = _client_id(spec)
-        data = client_stream(seed, name, client_id, plan.total_length)
+        plan = spec.generate()
+        data = client_stream(seed, name, spec.client_id, plan.total_length)
         pos = 0
         for r in plan.file:
             image[r.offset : r.end] = data[pos : pos + r.length]
             pos += r.length
     return image
-
-
-def _client_id(spec) -> int:
-    if isinstance(spec, CyclicSpec):
-        return spec.client_id
-    if isinstance(spec, BlockBlockSpec):
-        return spec.row * spec.grid + spec.col
-    if isinstance(spec, FlashSpec):
-        return spec.proc_id
-    if isinstance(spec, TiledSpec):
-        return spec.tile_y * spec.tiles_x + spec.tile_x
-    raise TypeError(f"not a workload spec: {spec!r}")
 
 
 def flash_counts(spec: FlashSpec, limit: int = 64) -> dict[str, int]:

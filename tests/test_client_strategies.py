@@ -1,12 +1,16 @@
 import math
 import random
+import socketserver
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listio_pfs import wire
 from listio_pfs.client import (
     AccessPlan,
+    FileSession,
     ListIoConfig,
     SievingConfig,
     access_list,
@@ -22,7 +26,7 @@ from listio_pfs.client import (
     pvfs_write,
     pvfs_write_list,
 )
-from listio_pfs.errors import NotFoundError, PlanError
+from listio_pfs.errors import NotFoundError, PlanError, ProtocolError
 from listio_pfs.regions import RegionList, StripingParams
 from listio_pfs.bench import reassemble_file
 
@@ -270,6 +274,61 @@ class TestSieving:
             final = reassemble_file(cluster.storage_roots, session.handle,
                                     session.striping, len(base))
             assert final == overlay(base, file_regions, stream)
+
+
+class _SkewedReplies(socketserver.BaseRequestHandler):
+    """A stub daemon: attaches any handle, answers every read with
+    `server.skew` bytes more (or fewer) than asked for, all zeros."""
+
+    def handle(self):
+        try:
+            while (request := wire.recv_request(self.request)) is not None:
+                header = request[0]
+                n = 0
+                if header.opcode in (wire.READ, wire.READ_LIST):
+                    n = header.length + self.server.skew
+                wire.send_response(self.request, header.request_id,
+                                   wire.STATUS_OK, bytes(n))
+        except (OSError, ProtocolError):
+            pass  # the client hung up mid-reply
+
+
+class _NoManager:
+    def request(self, *args, **kwargs):
+        raise OSError("no manager")
+
+    def close(self):
+        pass
+
+
+class TestShortReplies:
+    @pytest.mark.parametrize("skew", [-1, 1])
+    @pytest.mark.parametrize("access", [
+        lambda s, buf: pvfs_read(s, 0, buf),           # one stripe, one reply
+        lambda s, buf: pvfs_read(s, 8, buf),           # two stripes, two replies
+        lambda s, buf: access_list(s, make_plan([(0, 4), (20, 12)]), buf,
+                                   "read"),
+    ], ids=["read-one-span", "read-two-spans", "read-list"])
+    def test_wrong_length_reply_raises(self, skew, access):
+        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _SkewedReplies)
+        server.daemon_threads = True
+        server.skew = skew
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                                  daemon=True)
+        thread.start()
+        addr = "%s:%d" % server.server_address
+        session = FileSession(_NoManager(), "stub", 1, StripingParams(0, 2, 16),
+                              0, [addr, addr])
+        try:
+            buf = bytearray(b"\xff" * 16)
+            with pytest.raises(ProtocolError):
+                access(session, buf)
+        finally:
+            session.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestListApi:

@@ -8,12 +8,13 @@ from listio_pfs.regions import (
     RegionList,
     StripingParams,
     TransferPiece,
+    Message,
     batch_regions,
-    coalesce,
     count_transfer_pieces,
     extent,
-    intersect_transfer_pieces,
+    fan_out,
     inverse_stripe_location,
+    iter_transfer_pieces,
     server_spans,
     split_by_server,
     stripe_chunks,
@@ -22,7 +23,7 @@ from listio_pfs.regions import (
 )
 from listio_pfs.workloads import FlashSpec, flash_file_regions
 
-from oracles import coalesce_bitmap, deal_layout, region_byte_set
+from oracles import deal_layout, region_byte_set
 
 SP8 = StripingParams(0, 8, 16384)
 
@@ -84,38 +85,47 @@ class TestStripingReconstruction:
 class TestSplitByServer:
     def test_single_stripe(self):
         out = split_by_server(RegionList([(0, 16384)]), SP8)
-        assert out == {0: RegionList([(0, 16384)])}
+        assert out == [Message(0, RegionList([(0, 16384)]), [(0, 16384)])]
 
     def test_two_stripes(self):
         out = split_by_server(RegionList([(0, 32768)]), SP8)
-        assert out == {0: RegionList([(0, 16384)]), 1: RegionList([(0, 16384)])}
+        assert out == [Message(0, RegionList([(0, 16384)]), [(0, 16384)]),
+                       Message(1, RegionList([(0, 16384)]), [(16384, 16384)])]
 
     def test_empty(self):
-        assert split_by_server(RegionList(), SP8) == {}
+        assert split_by_server(RegionList(), SP8) == []
 
     @given(
         sp=striping_params,
         raw=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 90)),
                      min_size=0, max_size=12),
+        limit=st.integers(1, 64),
     )
     @settings(max_examples=80, deadline=None)
-    def test_conserves_bytes_through_inverse_map(self, sp, raw):
+    def test_conserves_bytes_through_inverse_map(self, sp, raw, limit):
         regions, pos = [], 0
         for gap, length in raw:
             pos += gap
             regions.append(Region(pos, length))
             pos += length
         rl = RegionList(regions)
-        out = split_by_server(rl, sp)
-        assert sum(part.total_length for part in out.values()) == rl.total_length
+        # file offset of every file-order position, flattened independently
+        file_byte = [r.offset + j for r in rl for j in range(r.length)]
+        out = split_by_server(rl, sp, limit)
+        assert [m.slot for m in out] == sorted(m.slot for m in out)
+        assert sum(m.regions.total_length for m in out) == rl.total_length
         back = set()
-        for server, part in out.items():
-            prev = -1
-            for r in part:
-                assert r.offset > prev  # sorted by local offset
-                prev = r.offset
+        prev = {}
+        for server, part, runs in out:
+            assert 1 <= len(part) <= limit
+            assert [n for _pos, n in runs] == [r.length for r in part]
+            for r, (at, _n) in zip(part, runs):
+                assert r.offset > prev.get(server, -1)  # sorted by local offset
+                prev[server] = r.offset
                 for j in range(r.length):
-                    back.add(inverse_stripe_location(server, r.offset + j, sp))
+                    here = inverse_stripe_location(server, r.offset + j, sp)
+                    assert here == file_byte[at + j]
+                    back.add(here)
         assert back == region_byte_set([(r.offset, r.length) for r in rl])
 
 
@@ -125,41 +135,57 @@ class TestServerSpans:
     @settings(max_examples=80, deadline=None)
     def test_spans_aggregate_split(self, sp, offset, length):
         spans = server_spans(offset, length, sp)
-        split = split_by_server(RegionList([(offset, length)]), sp)
+        split, split_runs = {}, {}
+        for server, part, runs in split_by_server(RegionList([(offset, length)]), sp):
+            split.setdefault(server, []).extend(part)
+            split_runs.setdefault(server, []).extend(runs)
         assert set(spans) == set(split)
         for server, part in split.items():
             assert spans[server].offset == part[0].offset
-            assert spans[server].length == part.total_length
+            assert spans[server].length == sum(r.length for r in part)
             # fragments of a contiguous range are locally adjacent
             end = part[0].offset
             for r in part:
                 assert r.offset == end
                 end = r.end
+        # the contiguous fan-out sends each server its span as one message
+        # carrying the split's file-order runs, merged where they touch
+        contiguous = fan_out([Region(offset, length)], sp)
+        assert [m.slot for m in contiguous] == list(spans)
+        for server, (span,), runs in contiguous:
+            assert span == spans[server]
+            merged = []
+            for at, n in split_runs[server]:
+                if merged and merged[-1][0] + merged[-1][1] == at:
+                    merged[-1] = (merged[-1][0], merged[-1][1] + n)
+                else:
+                    merged.append((at, n))
+            assert runs == merged
 
 
 class TestTransferPieces:
     def test_both_contiguous(self):
-        pieces = intersect_transfer_pieces(
+        pieces = list(iter_transfer_pieces(
             RegionList([(0, 100)]), RegionList([(50, 100)])
-        )
+        ))
         assert pieces == [TransferPiece(0, 50, 100)]
 
     def test_memory_split_forces_two_pieces(self):
-        pieces = intersect_transfer_pieces(
+        pieces = list(iter_transfer_pieces(
             RegionList([(0, 8), (100, 8)]), RegionList([(0, 16)])
-        )
+        ))
         assert pieces == [TransferPiece(0, 0, 8), TransferPiece(100, 8, 8)]
 
     def test_adjacent_entries_stay_separate(self):
         # boundaries of either list end a piece even with no byte gap
-        pieces = intersect_transfer_pieces(
+        pieces = list(iter_transfer_pieces(
             RegionList([(0, 16)]), RegionList([(0, 8), (8, 8)])
-        )
+        ))
         assert pieces == [TransferPiece(0, 0, 8), TransferPiece(8, 8, 8)]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(PlanError):
-            intersect_transfer_pieces(RegionList([(0, 10)]), RegionList([(0, 11)]))
+            list(iter_transfer_pieces(RegionList([(0, 10)]), RegionList([(0, 11)])))
 
     def test_flash_default_piece_count(self):
         spec = FlashSpec(procs=1, proc_id=0)
@@ -193,7 +219,7 @@ class TestTransferPieces:
             file_regions.append(Region(fpos, ln))
             fpos += ln
             remaining -= ln
-        pieces = intersect_transfer_pieces(RegionList(mem), RegionList(file_regions))
+        pieces = list(iter_transfer_pieces(RegionList(mem), RegionList(file_regions)))
         assert sum(p.length for p in pieces) == total
         flat = bytes(data.randint(0, 255) for _ in range(fpos + 1))
         buf = bytearray(total)
@@ -246,30 +272,6 @@ class TestExtent:
             got = extent(RegionList(regions))
             assert got == Region(lo, hi - lo)
             assert hi - lo == 15724544  # frozen from the min/max scan
-
-
-class TestCoalesce:
-    def test_adjacent_merge(self):
-        assert coalesce(RegionList([(0, 8), (8, 8)])) == RegionList([(0, 16)])
-
-    def test_gap_stays(self):
-        rl = RegionList([(0, 8), (16, 8)])
-        assert coalesce(rl) == rl
-
-    @given(
-        raw=st.lists(st.tuples(st.integers(0, 10), st.integers(1, 12)),
-                     min_size=0, max_size=15),
-    )
-    @settings(max_examples=80)
-    def test_byte_set_preserved_and_idempotent(self, raw):
-        regions, pos = [], 0
-        for gap, ln in raw:
-            pos += gap
-            regions.append((pos, ln))
-            pos += ln
-        merged = coalesce(RegionList(regions))
-        assert [(r.offset, r.length) for r in merged] == coalesce_bitmap(regions)
-        assert coalesce(merged) == merged
 
 
 class TestUsefulFraction:

@@ -7,7 +7,6 @@ from listio_pfs.workloads import (
     CyclicSpec,
     FlashSpec,
     TiledSpec,
-    bytes_per_access,
     client_specs,
     client_stream,
     flash_counts,
@@ -17,7 +16,6 @@ from listio_pfs.workloads import (
     gen_cyclic,
     gen_flash,
     gen_tiled,
-    generate,
     oracle_file_image,
     tiled_counts,
 )
@@ -94,10 +92,6 @@ class TestBlockBlock:
         plan = gen_blockblock(spec)
         assert len(plan.file) == spec.block_side
         assert all(r.length == spec.block_side for r in plan.file)
-
-    def test_gigabyte_nine_client_bytes_per_access(self):
-        # 1 GiB over 9 clients and 800k accesses each
-        assert round(bytes_per_access(1 << 30, 9, 800_000)) == 149
 
     def test_divisibility_enforced(self):
         with pytest.raises(WorkloadError):
@@ -237,7 +231,7 @@ class TestPlanBalance:
         ],
     )
     def test_mem_and_file_totals_match(self, spec):
-        plan = generate(spec)
+        plan = spec.generate()
         assert plan.mem.total_length == plan.file.total_length
         assert plan.file.is_sorted_disjoint()
 
@@ -270,7 +264,7 @@ class TestOracleImage:
         specs = client_specs(TiledSpec(tile_x=0, tile_y=0))
         image = oracle_file_image(specs, 1)
         assert len(image) == 10695168
-        plan = generate(specs[0])
+        plan = specs[0].generate()
         assert plan.file[0].offset == 0  # tile (0,0) owns byte 0
-        others = [generate(s) for s in specs[1:]]
+        others = [s.generate() for s in specs[1:]]
         assert all(p.file[0].offset != 0 for p in others)
