@@ -10,7 +10,6 @@ absolute expectations; tests assert counts and orderings only.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import shutil
@@ -44,8 +43,6 @@ CSV_COLUMNS = (
     "wire_bytes_read,wire_bytes_written,useful_bytes,useful_fraction,"
     "elapsed_us,verified"
 )
-
-_cell_counter = itertools.count(1)
 
 
 class Cluster:
@@ -397,6 +394,8 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
     manager_addr = config.external_manager or cluster.manager_addr
     storage_roots = cluster.storage_roots if cluster is not None else None
     striping = StripingParams(0, config.servers, config.ssize)
+    # Fresh file names per call: an external manager outlives this process.
+    run_tag = os.urandom(6).hex()
 
     cells: list[CellResult] = []
     try:
@@ -414,7 +413,7 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
                 image = workloads.oracle_file_image(specs, config.seed)
             read_file: tuple[str, int] | None = None
             for strategy in config.strategies:
-                run_id = next(_cell_counter)
+                run_id = f"{run_tag}.{len(cells) + 1}"
                 if direction == "read":
                     if read_file is None:
                         fname = f"{name}-a{accesses}-r{run_id}"

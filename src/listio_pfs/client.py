@@ -37,7 +37,7 @@ from .errors import (
     ProtocolError,
     TokenError,
 )
-# server_spans and stripe_chunks run inside fan_out. They stay importable from
+# server_spans and stripe_chunks are not called here. They stay importable from
 # here because the benchmark's layer trace (perfbench/layers.py) times the
 # regions functions this module imports, and its tests expect these names.
 from .regions import (  # noqa: F401
@@ -279,19 +279,31 @@ class FileSession:
         self._daemons: dict[int, _Channel] = {}
         self.metrics = ClientMetrics()
 
-    def _daemon(self, slot: int) -> _Channel:
+    def _request(self, slot: int, opcode: int, offset: int = 0, length: int = 0,
+                 regions: RegionList | None = None, payload=None, out=None):
+        """Send one request on this file to the daemon in `slot`, attaching
+        the file on a new channel first. A request that fails on the socket
+        or on a malformed reply closes and drops its channel, so unread reply
+        bytes never reach the next request."""
         channel = self._daemons.get(slot)
         if channel is None:
             channel = _Channel(self.roster[slot])
             channel.request(wire.OPEN, handle=self.handle)  # attach
             self._daemons[slot] = channel
-        return channel
+        try:
+            return channel.request(opcode, handle=self.handle, offset=offset,
+                                   length=length, regions=regions,
+                                   payload=payload, out=out)
+        except (ProtocolError, OSError):
+            del self._daemons[slot]
+            channel.close()
+            raise
 
     def stat(self) -> int:
         """Current file size: max written end across daemons, unstriped."""
         end = 0
         for slot in range(self.striping.pcount):
-            payload = self._daemon(slot).request(wire.STAT, handle=self.handle)
+            payload = self._request(slot, wire.STAT)
             local = wire.unpack_u64(payload)
             if local:
                 back = inverse_stripe_location(slot, local - 1, self.striping)
@@ -321,32 +333,29 @@ class FileSession:
         self.close()
 
 
+def _open_session(manager_addr: str, name: str, opcode: int,
+                  payload: bytes) -> FileSession:
+    """Send CREATE or OPEN on a new manager channel and wrap the reply's
+    metadata in a session; the channel is closed if that fails."""
+    channel = _Channel(manager_addr)
+    try:
+        raw = channel.request(opcode, length=len(payload), payload=payload)
+        handle, sp, size, roster = wire.decode_metadata_payload(raw)
+    except BaseException:
+        channel.close()
+        raise
+    return FileSession(channel, name, handle, sp, size, roster)
+
+
 def pvfs_create(
     manager_addr: str, name: str, striping: StripingParams = StripingParams()
 ) -> FileSession:
-    channel = _Channel(manager_addr)
-    try:
-        payload = wire.encode_create_payload(name, striping)
-        raw = channel.request(wire.CREATE, length=len(payload), payload=payload)
-    except BaseException:
-        channel.close()
-        raise
-    handle, sp, size, roster = wire.decode_metadata_payload(raw)
-    return FileSession(channel, name, handle, sp, size, roster)
+    return _open_session(manager_addr, name, wire.CREATE,
+                         wire.encode_create_payload(name, striping))
 
 
 def pvfs_open(manager_addr: str, name: str) -> FileSession:
-    channel = _Channel(manager_addr)
-    try:
-        raw = channel.request(
-            wire.OPEN, length=len(name.encode("utf-8")),
-            payload=name.encode("utf-8"),
-        )
-    except BaseException:
-        channel.close()
-        raise
-    handle, sp, size, roster = wire.decode_metadata_payload(raw)
-    return FileSession(channel, name, handle, sp, size, roster)
+    return _open_session(manager_addr, name, wire.OPEN, name.encode("utf-8"))
 
 
 def pvfs_close(session: FileSession) -> None:
@@ -367,24 +376,21 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
     if not len(view):
         return
     listed = opcode in wire.LIST_OPCODES
-    reading = opcode in (wire.READ, wire.READ_LIST)
+    reading = opcode in wire.READ_OPCODES
     m = session.metrics
     m.logical_requests += 1
     for slot, local, runs in fan_out(file_regions, session.striping,
                                      limit if listed else None):
         total = local.total_length
         offset, trailing = (0, local) if listed else (local[0].offset, None)
-        channel = session._daemon(slot)
         # A message made of one run moves straight between socket and view.
         direct = None
         if len(runs) == 1:
             pos, n = runs[0]
             direct = view[pos : pos + n]
         if reading:
-            reply = channel.request(
-                opcode, handle=session.handle, offset=offset, length=total,
-                regions=trailing, out=direct,
-            )
+            reply = session._request(slot, opcode, offset=offset, length=total,
+                                     regions=trailing, out=direct)
             got = reply if direct is not None else len(reply)
             if got != total:
                 raise ProtocolError(
@@ -401,10 +407,8 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
             payload = direct
             if payload is None:
                 payload = b"".join([view[pos : pos + n] for pos, n in runs])
-            channel.request(
-                opcode, handle=session.handle, offset=offset, length=total,
-                regions=trailing, payload=payload,
-            )
+            session._request(slot, opcode, offset=offset, length=total,
+                             regions=trailing, payload=payload)
             m.wire_bytes_written += total
         m.server_messages += 1
 

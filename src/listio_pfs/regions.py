@@ -141,35 +141,6 @@ def stripe_chunks(
         pos += take
 
 
-def server_spans(offset: int, length: int, sp: StripingParams) -> dict[int, Region]:
-    """Per-server local span covering a contiguous file range.
-
-    A contiguous file range always lands as one contiguous local range on
-    each server it touches, so a single (offset, length) per server
-    suffices; each is computed from the range's first and last stripe on
-    that server rather than by walking every stripe.
-    """
-    if length <= 0:
-        return {}
-    end = offset + length
-    k0, within = divmod(offset, sp.ssize)
-    k1 = (end - 1) // sp.ssize
-    if k0 == k1:  # one stripe: the common small request
-        return {(sp.base + k0) % sp.pcount:
-                Region((k0 // sp.pcount) * sp.ssize + within, length)}
-    spans: dict[int, Region] = {}
-    for rel in range(min(sp.pcount, k1 - k0 + 1)):
-        k_first = k0 + rel
-        server = (sp.base + k_first) % sp.pcount
-        k_last = k_first + ((k1 - k_first) // sp.pcount) * sp.pcount
-        start = max(offset, k_first * sp.ssize)
-        stop = min(end, (k_last + 1) * sp.ssize)
-        local_start = (k_first // sp.pcount) * sp.ssize + (start - k_first * sp.ssize)
-        local_stop = (k_last // sp.pcount) * sp.ssize + (stop - k_last * sp.ssize)
-        spans[server] = Region(local_start, local_stop - local_start)
-    return spans
-
-
 class Message(NamedTuple):
     """One daemon request of a fanned-out logical request.
 
@@ -220,8 +191,8 @@ def fan_out(
     file_regions: Sequence[tuple[int, int]], sp: StripingParams,
     limit: int | None = None,
 ) -> list[Message]:
-    """The daemon messages of one logical request, whose bytes are taken
-    from its sorted file regions in file order.
+    """The daemon messages of one non-empty logical request, whose bytes
+    are taken from its sorted file regions in file order.
 
     With no limit the request is a contiguous operation on its one region:
     one message per server touched, each a single local span. With a
@@ -230,15 +201,37 @@ def fan_out(
     if limit is not None:
         return split_by_server(file_regions, sp, limit)
     ((offset, length),) = file_regions
-    spans = server_spans(offset, length, sp)
-    if len(spans) == 1:
-        ((slot, span),) = spans.items()
-        return [Message(slot, RegionList._wrap((span,), length), [(0, length)])]
-    runs: dict[int, list[tuple[int, int]]] = {slot: [] for slot in spans}
-    for slot, _local, file_offset, take in stripe_chunks(offset, length, sp):
-        runs[slot].append((file_offset - offset, take))
-    return [Message(slot, RegionList._wrap((span,), span.length), runs[slot])
-            for slot, span in spans.items()]
+    ssize, pcount = sp.ssize, sp.pcount
+    k0, within = divmod(offset, ssize)
+    k1 = (offset + length - 1) // ssize
+    if k0 == k1 or pcount == 1:  # one run: one stripe, or one server
+        span = Region((k0 // pcount) * ssize + within, length)
+        return [Message((sp.base + k0) % pcount,
+                        RegionList._wrap((span,), length), [(0, length)])]
+    # A server's stripes are every pcount-th stripe from its first one and
+    # sit back to back in its local file. So its share of the range is one
+    # local span, and only its first and last run can be partial.
+    step = pcount * ssize
+    messages = []
+    for k in range(k0, min(k0 + pcount, k1 + 1)):
+        # Request positions of this server's first and last stripe.
+        lo = k * ssize - offset
+        hi = lo + (k1 - k) // pcount * step
+        head = max(lo, 0)
+        tail = min(hi + ssize, length)
+        runs = [(pos, ssize) for pos in range(lo, hi + 1, step)]
+        runs[-1] = (hi, tail - hi)
+        runs[0] = (head, runs[0][1] - (head - lo))
+        span = Region((k // pcount) * ssize + head - lo,
+                      (hi - lo) // step * ssize + tail - hi - (head - lo))
+        messages.append(Message((sp.base + k) % pcount,
+                                RegionList._wrap((span,), span.length), runs))
+    return messages
+
+
+def server_spans(offset: int, length: int, sp: StripingParams) -> dict[int, Region]:
+    """Per-server local span covering a non-empty contiguous file range."""
+    return {m.slot: m.regions[0] for m in fan_out(((offset, length),), sp)}
 
 
 def iter_transfer_pieces(

@@ -2,9 +2,10 @@
 
 The manager owns file metadata (names, handles, striping parameters, the
 daemon roster) and the per-file write token. I/O daemons store stripe data
-in one local backing file per handle and execute contiguous and list
-reads/writes against it. The manager never touches file data; clients talk
-to daemons directly once a file is open.
+in one local backing file per handle and serve every read and write as a
+list of server-local regions, a contiguous request being the one-region
+case. The manager never touches file data; clients talk to daemons
+directly once a file is open.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     ProtocolError,
     TokenError,
 )
-from .regions import RegionList, StripingParams
+from .regions import StripingParams
 
 
 @dataclass
@@ -273,12 +274,13 @@ class Manager(_Endpoint):
 
 
 class StripeStore:
-    """One sparse backing file per handle under a storage root."""
+    """One sparse backing file per handle under a storage root, opened on
+    attach together with the lock that makes one request on it atomic."""
 
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._fds: dict[int, int] = {}
+        self._files: dict[int, tuple[int, threading.Lock]] = {}
         self._lock = threading.Lock()
 
     def path(self, handle: int) -> str:
@@ -286,25 +288,28 @@ class StripeStore:
 
     def attach(self, handle: int) -> None:
         with self._lock:
-            if handle not in self._fds:
-                self._fds[handle] = os.open(
-                    self.path(handle), os.O_RDWR | os.O_CREAT, 0o644
-                )
+            if handle not in self._files:
+                fd = os.open(self.path(handle), os.O_RDWR | os.O_CREAT, 0o644)
+                self._files[handle] = (fd, threading.Lock())
 
-    def _fd(self, handle: int) -> int:
-        fd = self._fds.get(handle)
-        if fd is None:
+    def _file(self, handle: int) -> tuple[int, threading.Lock]:
+        entry = self._files.get(handle)
+        if entry is None:
             raise NotFoundError(f"handle {handle} not attached to this daemon")
-        return fd
+        return entry
+
+    def lock(self, handle: int) -> threading.Lock:
+        """The request lock of an attached handle."""
+        return self._file(handle)[1]
 
     def pread(self, handle: int, offset: int, length: int) -> bytes:
-        data = os.pread(self._fd(handle), length, offset)
+        data = os.pread(self._file(handle)[0], length, offset)
         if len(data) < length:
             data += bytes(length - len(data))  # holes and EOF read as zeros
         return data
 
     def pwrite(self, handle: int, offset: int, data) -> None:
-        fd = self._fd(handle)
+        fd = self._file(handle)[0]
         view = memoryview(data)
         pos = offset
         while view:
@@ -313,17 +318,17 @@ class StripeStore:
             view = view[written:]
 
     def size(self, handle: int) -> int:
-        return os.fstat(self._fd(handle)).st_size
+        return os.fstat(self._file(handle)[0]).st_size
 
     def close(self) -> None:
         with self._lock:
-            for fd in self._fds.values():
+            for fd, _lock in self._files.values():
                 os.close(fd)
-            self._fds.clear()
+            self._files.clear()
 
 
 class IoDaemon(_Endpoint):
-    """Stripe server: contiguous and list reads/writes on local stripe files."""
+    """Stripe server: region-list reads and writes on local stripe files."""
 
     def __init__(
         self,
@@ -336,8 +341,6 @@ class IoDaemon(_Endpoint):
         self.store = StripeStore(storage_root)
         self.manager_addr = manager_addr
         self.slot: int | None = None
-        self._handle_locks: dict[int, threading.Lock] = {}
-        self._locks_lock = threading.Lock()
 
     def start(self) -> None:
         super().start()
@@ -364,13 +367,6 @@ class IoDaemon(_Endpoint):
                 )
             return wire.unpack_u32(payload)
 
-    def _handle_lock(self, handle: int) -> threading.Lock:
-        with self._locks_lock:
-            lock = self._handle_locks.get(handle)
-            if lock is None:
-                lock = self._handle_locks[handle] = threading.Lock()
-            return lock
-
     # -- storage operations (single-request atomicity per handle) ---------
 
     def attach(self, handle: int) -> None:
@@ -378,35 +374,32 @@ class IoDaemon(_Endpoint):
             raise ProtocolError(f"bad handle {handle}")
         self.store.attach(handle)
 
-    def read_contig(self, handle: int, offset: int, length: int) -> bytes:
-        with self._handle_lock(handle):
-            return self.store.pread(handle, offset, length)
+    def read(self, handle: int, regions) -> bytes:
+        """The bytes of the server-local (offset, length) regions, in order."""
+        store = self.store
+        with store.lock(handle):
+            return b"".join([store.pread(handle, offset, length)
+                             for offset, length in regions])
 
-    def write_contig(self, handle: int, offset: int, data) -> None:
-        with self._handle_lock(handle):
-            self.store.pwrite(handle, offset, data)
-
-    def read_list(self, handle: int, regions: RegionList) -> bytes:
-        with self._handle_lock(handle):
-            return b"".join(
-                self.store.pread(handle, r.offset, r.length) for r in regions
-            )
-
-    def write_list(self, handle: int, regions: RegionList, data) -> None:
-        if len(data) != regions.total_length:
+    def write(self, handle: int, regions, data) -> None:
+        """Store `data` across the server-local (offset, length) regions."""
+        total = 0
+        for _offset, length in regions:
+            total += length
+        if len(data) != total:
             raise ProtocolError(
-                f"payload is {len(data)} bytes but regions total "
-                f"{regions.total_length}"
+                f"payload is {len(data)} bytes but regions total {total}"
             )
+        store = self.store
         view = memoryview(data)
         pos = 0
-        with self._handle_lock(handle):
-            for r in regions:
-                self.store.pwrite(handle, r.offset, view[pos : pos + r.length])
-                pos += r.length
+        with store.lock(handle):
+            for offset, length in regions:
+                store.pwrite(handle, offset, view[pos : pos + length])
+                pos += length
 
     def local_size(self, handle: int) -> int:
-        with self._handle_lock(handle):
+        with self.store.lock(handle):
             return self.store.size(handle)
 
     # -- wire dispatch -----------------------------------------------------
@@ -414,18 +407,16 @@ class IoDaemon(_Endpoint):
     def dispatch(self, conn_id, header, trailing, data) -> bytes:
         op = header.opcode
         handle = header.file_handle
+        if op in wire.DATA_OPCODES:
+            regions = trailing
+            if regions is None:  # a contiguous request: its header's region
+                regions = ((header.offset, header.length),)
+            if op in wire.READ_OPCODES:
+                return self.read(handle, regions)
+            self.write(handle, regions, data)
+            return b""
         if op == wire.OPEN:
             self.attach(handle)
-            return b""
-        if op == wire.READ:
-            return self.read_contig(handle, header.offset, header.length)
-        if op == wire.WRITE:
-            self.write_contig(handle, header.offset, data)
-            return b""
-        if op == wire.READ_LIST:
-            return self.read_list(handle, trailing)
-        if op == wire.WRITE_LIST:
-            self.write_list(handle, trailing, data)
             return b""
         if op == wire.STAT:
             return wire.pack_u64(self.local_size(handle))

@@ -39,6 +39,10 @@ STAT = 10
 REGISTER = 11
 
 LIST_OPCODES = frozenset({READ_LIST, WRITE_LIST})
+READ_OPCODES = frozenset({READ, READ_LIST})
+DATA_OPCODES = READ_OPCODES | {WRITE, WRITE_LIST}
+# Requests of these opcodes carry a data payload of header.length bytes.
+_PAYLOAD_OPCODES = frozenset({WRITE, WRITE_LIST, CREATE, OPEN, REGISTER})
 _VALID_OPCODES = frozenset(range(CREATE, REGISTER + 1))
 
 OPCODE_NAMES = {
@@ -163,6 +167,11 @@ def decode_request(data) -> tuple[IoRequestHeader, RegionList | None]:
         trailing = RegionList(regions)
     except Exception as exc:
         raise ProtocolError(f"invalid trailing region: {exc}") from exc
+    if header.length != trailing.total_length:
+        raise ProtocolError(
+            f"list header length {header.length} does not match region "
+            f"total {trailing.total_length}"
+        )
     return header, trailing
 
 
@@ -276,29 +285,6 @@ def read_into_exact(sock: socket.socket, view: memoryview) -> None:
         got += r
 
 
-def _request_data_length(header: IoRequestHeader, trailing: RegionList | None) -> int:
-    """Byte count of the data payload that follows a request's region entries."""
-    if header.opcode in (WRITE, CREATE, OPEN, REGISTER):
-        return header.length
-    if header.opcode == WRITE_LIST:
-        assert trailing is not None
-        total = trailing.total_length
-        if header.length != total:
-            raise ProtocolError(
-                f"write list header length {header.length} does not match "
-                f"region total {total}"
-            )
-        return total
-    if header.opcode == READ_LIST:
-        assert trailing is not None
-        if header.length != trailing.total_length:
-            raise ProtocolError(
-                f"read list header length {header.length} does not match "
-                f"region total {trailing.total_length}"
-            )
-    return 0
-
-
 def send_request(
     sock: socket.socket,
     header: IoRequestHeader,
@@ -323,9 +309,8 @@ def recv_request(
         raw = head + read_exact(sock, header.region_count * REGION_ENTRY_SIZE)
         header, trailing = decode_request(raw)
     data = b""
-    n = _request_data_length(header, trailing)
-    if n:
-        data = read_exact(sock, n)
+    if header.opcode in _PAYLOAD_OPCODES:
+        data = read_exact(sock, header.length)
     return header, trailing, data
 
 

@@ -1,10 +1,11 @@
+import importlib
 import os
 import subprocess
 import sys
 
 import pytest
 
-from listio_pfs import cli
+from listio_pfs import bench, cli
 from listio_pfs.bench import (
     BenchConfig,
     CSV_COLUMNS,
@@ -63,6 +64,17 @@ class TestRunMatrix:
         report = run_matrix(config, cluster)
         assert report.cell("list").per_client_logical_requests == 1
         assert report.cell("list").verified is True
+
+    def test_runs_against_one_external_manager_do_not_collide(self, cluster):
+        config = BenchConfig(
+            workload="cyclic", strategies=("list", "multiple"), clients=2,
+            accesses=(8,), total_bytes=1 << 14, reps=1, verify=True, seed=6,
+            external_manager=cluster.manager_addr,
+        )
+        for _ in range(2):
+            importlib.reload(bench)  # as in a new process
+            report = bench.run_matrix(config)
+            assert report.cell("list").verified is True
 
     def test_sieving_writes_need_the_flag(self, cluster):
         config = BenchConfig(

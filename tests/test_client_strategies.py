@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 import socketserver
@@ -281,6 +282,7 @@ class _SkewedReplies(socketserver.BaseRequestHandler):
     `server.skew` bytes more (or fewer) than asked for, all zeros."""
 
     def handle(self):
+        self.server.connections += 1
         try:
             while (request := wire.recv_request(self.request)) is not None:
                 header = request[0]
@@ -301,6 +303,30 @@ class _NoManager:
         pass
 
 
+@contextlib.contextmanager
+def _skewed_session(skew):
+    """A session on a two-daemon file whose daemons are one _SkewedReplies
+    stub; yields (stub server, session)."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _SkewedReplies)
+    server.daemon_threads = True
+    server.skew = skew
+    server.connections = 0
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
+    thread.start()
+    addr = "%s:%d" % server.server_address
+    session = FileSession(_NoManager(), "stub", 1, StripingParams(0, 2, 16),
+                          0, [addr, addr])
+    try:
+        yield server, session
+    finally:
+        session.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 class TestShortReplies:
     @pytest.mark.parametrize("skew", [-1, 1])
     @pytest.mark.parametrize("access", [
@@ -310,25 +336,19 @@ class TestShortReplies:
                                    "read"),
     ], ids=["read-one-span", "read-two-spans", "read-list"])
     def test_wrong_length_reply_raises(self, skew, access):
-        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _SkewedReplies)
-        server.daemon_threads = True
-        server.skew = skew
-        thread = threading.Thread(target=server.serve_forever, args=(0.05,),
-                                  daemon=True)
-        thread.start()
-        addr = "%s:%d" % server.server_address
-        session = FileSession(_NoManager(), "stub", 1, StripingParams(0, 2, 16),
-                              0, [addr, addr])
-        try:
+        with _skewed_session(skew) as (_server, session):
             buf = bytearray(b"\xff" * 16)
             with pytest.raises(ProtocolError):
                 access(session, buf)
-        finally:
-            session.close()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+
+    def test_rejected_reply_drops_its_connection(self):
+        # The over-long reply is refused before its payload is read; a
+        # reused connection would parse those bytes as the next reply.
+        with _skewed_session(1) as (server, session):
+            for attempt in (1, 2):
+                with pytest.raises(ProtocolError, match="exceeds buffer"):
+                    pvfs_read(session, 0, bytearray(16))
+                assert server.connections == attempt
 
 
 class TestListApi:

@@ -166,63 +166,75 @@ class TestTokens:
 class TestDaemonStorage:
     def test_unattached_handle_rejected(self, daemon):
         with pytest.raises(NotFoundError):
-            daemon.read_contig(12345, 0, 4)
+            daemon.read(12345, [(0, 4)])
+        with pytest.raises(NotFoundError):
+            daemon.write(12345, [(0, 4)], b"abcd")
         with pytest.raises(NotFoundError):
             daemon.local_size(12345)
 
     def test_write_read_round_trip(self, daemon):
         daemon.attach(1)
-        daemon.write_contig(1, 0, b"0123456789abcdef")
-        assert daemon.read_contig(1, 0, 16) == b"0123456789abcdef"
+        daemon.write(1, [(0, 16)], b"0123456789abcdef")
+        assert daemon.read(1, [(0, 16)]) == b"0123456789abcdef"
 
     def test_holes_read_as_zero(self, daemon):
         daemon.attach(2)
-        assert daemon.read_contig(2, 100, 8) == bytes(8)
+        assert daemon.read(2, [(100, 8)]) == bytes(8)
 
     def test_read_spans_written_and_hole(self, daemon):
         daemon.attach(3)
-        daemon.write_contig(3, 0, b"\xaa" * 8)
-        assert daemon.read_contig(3, 0, 12) == b"\xaa" * 8 + bytes(4)
+        daemon.write(3, [(0, 8)], b"\xaa" * 8)
+        assert daemon.read(3, [(0, 12)]) == b"\xaa" * 8 + bytes(4)
 
     def test_last_writer_wins(self, daemon):
         daemon.attach(4)
-        daemon.write_contig(4, 0, b"\x11" * 8)
-        daemon.write_contig(4, 4, b"\x22" * 8)
-        assert daemon.read_contig(4, 0, 12) == b"\x11" * 4 + b"\x22" * 8
+        daemon.write(4, [(0, 8)], b"\x11" * 8)
+        daemon.write(4, [(4, 8)], b"\x22" * 8)
+        assert daemon.read(4, [(0, 12)]) == b"\x11" * 4 + b"\x22" * 8
 
     def test_sparse_write_sets_size(self, daemon):
         daemon.attach(5)
-        daemon.write_contig(5, 1 << 20, b"x")
+        daemon.write(5, [(1 << 20, 1)], b"x")
         assert daemon.local_size(5) == (1 << 20) + 1
 
     def test_read_list_concatenates_in_order(self, daemon):
         daemon.attach(6)
-        daemon.write_contig(6, 0, b"A" * 8)
-        daemon.write_contig(6, 100, b"B" * 8)
-        got = daemon.read_list(6, RegionList([(0, 8), (100, 8)]))
+        daemon.write(6, [(0, 8)], b"A" * 8)
+        daemon.write(6, [(100, 8)], b"B" * 8)
+        got = daemon.read(6, RegionList([(0, 8), (100, 8)]))
         assert got == b"A" * 8 + b"B" * 8
 
     def test_single_region_list_equals_contig(self, daemon):
-        daemon.attach(7)
-        daemon.write_contig(7, 3, b"hello world!")
-        assert daemon.read_list(7, RegionList([(3, 12)])) == daemon.read_contig(7, 3, 12)
+        channel = _Channel(daemon.address)
+        try:
+            channel.request(wire.OPEN, handle=7)
+            channel.request(wire.WRITE, handle=7, offset=3, length=12,
+                            payload=b"hello world!")
+            contig = channel.request(wire.READ, handle=7, offset=3, length=12)
+            listed = channel.request(wire.READ_LIST, handle=7, length=12,
+                                     regions=RegionList([(3, 12)]))
+            assert listed == contig == b"hello world!"
+        finally:
+            channel.close()
 
     def test_64_single_byte_regions(self, daemon):
         daemon.attach(8)
-        daemon.write_contig(8, 0, bytes(range(200)))
+        daemon.write(8, [(0, 200)], bytes(range(200)))
         regions = RegionList([(i * 3, 1) for i in range(64)])
-        payload = daemon.read_list(8, regions)
+        payload = daemon.read(8, regions)
         assert payload == bytes(i * 3 for i in range(64))
 
     def test_write_list_scatter(self, daemon):
         daemon.attach(9)
-        daemon.write_list(9, RegionList([(0, 4), (10, 4)]), b"aaaabbbb")
-        assert daemon.read_contig(9, 0, 14) == b"aaaa" + bytes(6) + b"bbbb"
+        daemon.write(9, RegionList([(0, 4), (10, 4)]), b"aaaabbbb")
+        assert daemon.read(9, [(0, 14)]) == b"aaaa" + bytes(6) + b"bbbb"
 
     def test_write_list_length_mismatch_rejected(self, daemon):
         daemon.attach(10)
-        with pytest.raises(ProtocolError):
-            daemon.write_list(10, RegionList([(0, 4)]), b"toolong")
+        for regions in ([(0, 4)], RegionList([(0, 4), (8, 4)])):
+            with pytest.raises(ProtocolError):
+                daemon.write(10, regions, b"toolong")
+        assert daemon.read(10, [(0, 12)]) == bytes(12)  # nothing written
 
     def test_storage_fidelity_random_sequence(self, daemon):
         daemon.attach(11)
@@ -234,10 +246,10 @@ class TestDaemonStorage:
             ln = rng.randrange(1, 500)
             if op == 0:
                 data = rng.randbytes(ln)
-                daemon.write_contig(11, off, data)
+                daemon.write(11, [(off, ln)], data)
                 shadow[off : off + ln] = data
             elif op == 1:
-                assert daemon.read_contig(11, off, ln) == bytes(shadow[off : off + ln])
+                assert daemon.read(11, [(off, ln)]) == bytes(shadow[off : off + ln])
             elif op == 2:
                 regions, pos, parts = [], off, []
                 for _ in range(rng.randrange(1, 5)):
@@ -246,7 +258,7 @@ class TestDaemonStorage:
                     parts.append(rng.randbytes(seg))
                     pos += seg + rng.randrange(0, 30)
                 data = b"".join(parts)
-                daemon.write_list(11, RegionList(regions), data)
+                daemon.write(11, RegionList(regions), data)
                 at = 0
                 for (roff, rlen) in regions:
                     shadow[roff : roff + rlen] = data[at : at + rlen]
@@ -260,7 +272,7 @@ class TestDaemonStorage:
                 expected = b"".join(
                     bytes(shadow[roff : roff + rlen]) for roff, rlen in regions
                 )
-                assert daemon.read_list(11, RegionList(regions)) == expected
+                assert daemon.read(11, RegionList(regions)) == expected
 
 
 class TestDaemonWire:
@@ -281,6 +293,25 @@ class TestDaemonWire:
                 channel.request(wire.READ, handle=99999, offset=0, length=4)
         finally:
             channel.close()
+
+    def test_unattached_requests_leave_no_state(self, daemon):
+        def keyed_state():
+            return {key for obj in (daemon, daemon.store)
+                    for value in vars(obj).values() if isinstance(value, dict)
+                    for key in value}
+
+        handles = range(50001, 50201)
+        channel = _Channel(daemon.address)
+        try:
+            for handle in handles:
+                with pytest.raises(NotFoundError):  # zero-length READs too
+                    channel.request(wire.READ, handle=handle, offset=0,
+                                    length=handle % 2 * 512)
+            with pytest.raises(NotFoundError):
+                channel.request(wire.STAT, handle=handles[0])
+        finally:
+            channel.close()
+        assert not keyed_state() & set(handles)
 
     def test_metadata_opcodes_rejected(self, daemon):
         channel = _Channel(daemon.address)

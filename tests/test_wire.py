@@ -1,3 +1,6 @@
+import socket
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +150,16 @@ class TestRejection:
         with pytest.raises(ProtocolError):
             wire.decode_request(bytes(raw))
 
+    @pytest.mark.parametrize("opcode", [wire.READ_LIST, wire.WRITE_LIST],
+                             ids=["READ_LIST", "WRITE_LIST"])
+    @pytest.mark.parametrize("skew", [-1, 1])
+    def test_list_length_must_equal_region_total(self, opcode, skew):
+        regions = RegionList([(0, 8), (100, 4)])
+        header = list_header(regions, opcode)._replace(
+            length=regions.total_length + skew)
+        with pytest.raises(ProtocolError, match="region total"):
+            wire.decode_request(wire.encode_request(header, regions))
+
     def test_short_header(self):
         with pytest.raises(ProtocolError):
             wire.decode_request(b"\x00" * 12)
@@ -171,3 +184,68 @@ class TestPayloadHelpers:
         sp = StripingParams(0, 2, 64)
         raw = wire.encode_metadata_payload(9, sp, 1234, ["a:1", "b:22"])
         assert wire.decode_metadata_payload(raw) == (9, sp, 1234, ["a:1", "b:22"])
+
+
+# Region entries as sent, valid or not: small offsets and lengths most of
+# the time, any 64-bit value otherwise (zero lengths, ends past 2**64).
+raw_entries = st.lists(
+    st.tuples(st.integers(0, 2**20) | st.integers(0, 2**64 - 1),
+              st.integers(1, 64) | st.integers(0, 2**64 - 1)),
+    min_size=1, max_size=64,
+)
+
+
+@st.composite
+def request_streams(draw):
+    """Plain random bytes, or a few request frames (list opcodes weighted
+    up) laid out as PROTOCOL.md says, then possibly with one byte changed,
+    cut at a random length."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=2000))
+    frames = []
+    for _ in range(draw(st.integers(1, 3))):
+        opcode = draw(st.sampled_from(sorted(wire.LIST_OPCODES))
+                      | st.sampled_from(sorted(wire.OPCODE_NAMES)))
+        entries = draw(raw_entries) if opcode in wire.LIST_OPCODES else []
+        if entries:
+            length = sum(n for _offset, n in entries) % 2**64
+            payload = b""
+            if opcode == wire.WRITE_LIST and length <= 4096:
+                payload = bytes(length)
+        else:
+            payload = draw(st.binary(max_size=64))
+            length = len(payload)
+        frames.append(
+            struct.pack("<IHHQQQQII16x", wire.MAGIC, wire.VERSION, opcode, 1, 1,
+                        0, length, len(entries), 0)
+            + b"".join(struct.pack("<QQ", *entry) for entry in entries)
+            + payload
+        )
+    stream = bytearray(b"".join(frames))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(stream) - 1))
+        stream[at] = draw(st.integers(0, 255))
+    return bytes(stream[: draw(st.integers(0, len(stream)))])
+
+
+class TestStreamFuzz:
+    @given(stream=request_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_recv_request_frames_or_rejects(self, stream):
+        writer, reader = socket.socketpair()
+        try:
+            writer.sendall(stream)
+            writer.close()
+            while True:
+                try:
+                    frame = wire.recv_request(reader)
+                except ProtocolError:
+                    return
+                if frame is None:
+                    return
+                header, trailing, data = frame
+                assert (trailing is None) == (header.opcode not in wire.LIST_OPCODES)
+                assert isinstance(data, bytes)
+        finally:
+            writer.close()
+            reader.close()
