@@ -6,7 +6,7 @@ import argparse
 import sys
 import threading
 
-from . import bench, workloads
+from . import workloads
 from .errors import PfsError
 from .server import IoDaemon, Manager, parse_addr
 
@@ -83,6 +83,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # Imported here so that `serve` processes do not load the harness.
+    from . import bench
+
     config = bench.BenchConfig(
         workload=args.workload,
         strategies=tuple(args.strategy.split(",")),

@@ -27,6 +27,7 @@ import socket
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from . import wire
 from .errors import (
@@ -43,6 +44,7 @@ from .errors import (
 from .regions import (  # noqa: F401
     DEFAULT_REGION_LIMIT,
     RegionList,
+    Run,
     StripingParams,
     batch_regions,
     extent,
@@ -51,6 +53,7 @@ from .regions import (  # noqa: F401
     iter_transfer_pieces,
     server_spans,
     stripe_chunks,
+    strided_runs,
 )
 from .server import parse_addr
 
@@ -115,15 +118,25 @@ class ClientMetrics:
         )
 
 
+# Element sizes that a strided run moves with one memoryview copy.
+_ELEMENT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_run_pos = itemgetter(0)
+
+
 class AccessPlan:
     """Paired memory and file region lists describing one noncontiguous access.
 
     The i-th byte of the flattened memory list corresponds to the i-th byte
     of the flattened file list. The file list must be sorted and
     non-overlapping; the memory list may be in any order.
+
+    Bytes move between plan order and memory run by run: on first use the
+    memory list is grouped into strided runs (regions.strided_runs), and
+    whole elements of a run that are 1, 2, 4 or 8 bytes at a stride that
+    is a multiple of their size move with one strided memoryview copy.
     """
 
-    __slots__ = ("mem", "file", "total_length", "_mem_starts")
+    __slots__ = ("mem", "file", "total_length", "_runs")
 
     def __init__(self, mem, file):
         mem = mem if isinstance(mem, RegionList) else RegionList(mem)
@@ -138,63 +151,84 @@ class AccessPlan:
         self.mem = mem
         self.file = file
         self.total_length = file.total_length
-        self._mem_starts: list[int] | None = None
+        self._runs: list[Run] | None = None
 
-    def _mem_index(self) -> list[int]:
-        if self._mem_starts is None:
-            starts = [0] * len(self.mem)
-            pos = 0
-            for i, r in enumerate(self.mem):
-                starts[i] = pos
-                pos += r.length
-            self._mem_starts = starts
-        return self._mem_starts
+    def _seek(self, pos: int) -> int:
+        """Index of the memory run holding plan byte `pos`."""
+        if self._runs is None:
+            self._runs = strided_runs(self.mem)
+        return bisect_right(self._runs, pos, key=_run_pos) - 1
 
     def mem_span(self, buffer, pos: int, length: int):
         """The buffer slice holding plan bytes [pos, pos+length) when they
         lie in one memory region, else None."""
-        starts = self._mem_index()
-        i = bisect_right(starts, pos) - 1
-        r = self.mem[i]
-        intra = pos - starts[i]
-        if intra + length > r.length:
+        i = self._seek(pos)
+        start, offset, size, stride, _count = self._runs[i]
+        element, intra = divmod(pos - start, size)
+        if intra + length > size:
             return None
-        return buffer[r.offset + intra : r.offset + intra + length]
+        at = offset + element * stride + intra
+        return buffer[at : at + length]
+
+    def _move(self, buffer, pos: int, data, into_memory: bool) -> None:
+        """Copy plan bytes [pos, pos+len(data)) between `data`, which holds
+        them in plan order, and their memory regions in `buffer`: into the
+        regions when `into_memory`, else into `data`. Regions are written
+        in list order, so where they overlap the later one wins."""
+        n = len(data)
+        if not n:
+            return
+        i = self._seek(pos)
+        runs = self._runs
+        start, offset, size, stride, count = runs[i]
+        views = None  # byte views of buffer and data, made for the first cast
+        done = 0
+        while True:
+            rel = pos - start
+            code = None
+            if stride == size:  # back to back: one slice
+                at = offset + rel
+                take = min(size * count - rel, n - done)
+            else:
+                element, intra = divmod(rel, size)
+                at = offset + element * stride + intra
+                whole = 0 if intra else min(count - element, (n - done) // size)
+                if whole > 1 and not stride % size:
+                    code = _ELEMENT_FORMATS.get(size)
+                # Else one element, or the part of one that the range holds.
+                take = whole * size if code else min(size - intra, n - done)
+            if code:
+                if views is None:
+                    views = memoryview(buffer), memoryview(data)
+                m = views[0][at : at + (whole - 1) * stride + size]
+                m = m.cast(code)[:: stride // size]
+                d = views[1][done : done + take].cast(code)
+                if into_memory:
+                    m[:] = d
+                else:
+                    d[:] = m
+            elif into_memory:
+                buffer[at : at + take] = data[done : done + take]
+            else:
+                data[done : done + take] = buffer[at : at + take]
+            done += take
+            if done == n:
+                return
+            pos += take
+            if pos == start + size * count:
+                i += 1
+                start, offset, size, stride, count = runs[i]
 
     def scatter(self, buffer, pos: int, data) -> None:
         """Copy plan bytes [pos, pos+len(data)) into the memory regions."""
-        starts = self._mem_index()
-        i = bisect_right(starts, pos) - 1
-        taken = 0
-        n = len(data)
-        while taken < n:
-            r = self.mem[i]
-            intra = pos - starts[i]
-            take = min(n - taken, r.length - intra)
-            buffer[r.offset + intra : r.offset + intra + take] = data[
-                taken : taken + take
-            ]
-            taken += take
-            pos += take
-            i += 1
+        self._move(buffer, pos, data, True)
 
     def gather(self, buffer, pos: int, length: int) -> bytes:
         """Collect plan bytes [pos, pos+length) from the memory regions."""
-        starts = self._mem_index()
-        regions = self.mem._regions
-        i = bisect_right(starts, pos) - 1
         # One output buffer, not one bytes object per region: a batch of
         # single-element regions would otherwise hold thousands at once.
         out = bytearray(length)
-        taken = 0
-        while taken < length:
-            offset, size = regions[i]
-            intra = pos - starts[i]
-            take = min(length - taken, size - intra)
-            out[taken : taken + take] = buffer[offset + intra : offset + intra + take]
-            taken += take
-            pos += take
-            i += 1
+        self._move(buffer, pos, out, False)
         return bytes(out)
 
 
@@ -282,13 +316,18 @@ class FileSession:
     def _request(self, slot: int, opcode: int, offset: int = 0, length: int = 0,
                  regions: RegionList | None = None, payload=None, out=None):
         """Send one request on this file to the daemon in `slot`, attaching
-        the file on a new channel first. A request that fails on the socket
-        or on a malformed reply closes and drops its channel, so unread reply
-        bytes never reach the next request."""
+        the file on a new channel first; a channel whose attach fails is
+        closed. A request that fails on the socket or on a malformed reply
+        closes and drops its channel, so unread reply bytes never reach the
+        next request."""
         channel = self._daemons.get(slot)
         if channel is None:
             channel = _Channel(self.roster[slot])
-            channel.request(wire.OPEN, handle=self.handle)  # attach
+            try:
+                channel.request(wire.OPEN, handle=self.handle)  # attach
+            except BaseException:
+                channel.close()
+                raise
             self._daemons[slot] = channel
         try:
             return channel.request(opcode, handle=self.handle, offset=offset,
@@ -505,7 +544,13 @@ def _window_fragments(plan: AccessPlan, buffer_size: int):
 def _sieve(session: FileSession, plan: AccessPlan, buffer,
            cfg: SievingConfig, writing: bool) -> None:
     """Read each non-empty extent window whole, then move the plan's bytes
-    out of it, or into it and write it back whole."""
+    out of it, or into it and write it back whole.
+
+    A window's fragments hold one stretch of plan bytes. When that stretch
+    lies in one memory region the fragments move straight between window
+    and buffer; otherwise it is staged in plan order and gathered or
+    scattered once.
+    """
     if not len(plan.file):
         return
     view = memoryview(buffer)
@@ -514,14 +559,25 @@ def _sieve(session: FileSession, plan: AccessPlan, buffer,
         window = memoryview(scratch)[:wlen]
         span = ((ws, wlen),)
         _exchange(session, wire.READ, span, window)
+        first = fragments[0][2]
+        _off, last_len, last = fragments[-1]
+        n = last + last_len - first
+        stretch = plan.mem_span(view, first, n)
+        staged = stretch is None
+        if staged:
+            stretch = memoryview(plan.gather(view, first, n) if writing
+                                 else bytearray(n))
         for file_off, length, pos in fragments:
-            part = window[file_off - ws : file_off - ws + length]
+            w = file_off - ws
+            p = pos - first
             if writing:
-                part[:] = plan.gather(view, pos, length)
+                window[w : w + length] = stretch[p : p + length]
             else:
-                plan.scatter(view, pos, part)
+                stretch[p : p + length] = window[w : w + length]
         if writing:
             _exchange(session, wire.WRITE, span, window)
+        elif staged:
+            plan.scatter(view, first, stretch)
 
 
 def access_sieving_read(

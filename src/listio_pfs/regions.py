@@ -3,8 +3,8 @@
 Everything here is pure arithmetic over (offset, length) pairs: round-robin
 stripe mapping, fanning a request's file regions out as per-server
 messages, pairing memory and file region lists into transfer pieces,
-batching and extents. All offsets and lengths are byte counts that must
-fit in 64 bits.
+grouping a region list into strided runs, batching and extents. All
+offsets and lengths are byte counts that must fit in 64 bits.
 """
 
 from __future__ import annotations
@@ -110,6 +110,43 @@ class RegionList:
                 return False
             prev_end = r.end
         return True
+
+
+class Run(NamedTuple):
+    """`count` regions of `size` bytes at `offset`, `offset + stride`, ...
+
+    `pos` is where the run's first byte sits in the list's flattened bytes.
+    A run of one region has `stride == size`, as has any run whose regions
+    sit back to back.
+    """
+
+    pos: int
+    offset: int
+    size: int
+    stride: int
+    count: int
+
+
+def strided_runs(regions: Iterable[tuple[int, int]]) -> list[Run]:
+    """Group a region list, in its order, into runs of equal-size regions
+    whose offsets rise by a fixed stride > 0; a region that does not
+    continue the current run starts the next one."""
+    runs = []
+    pos = start = offset = last = size = stride = count = 0
+    for off, n in regions:
+        gap = off - last
+        if n == size and gap > 0 and (gap == stride or count == 1):
+            stride = gap
+            count += 1
+        else:
+            if count:
+                runs.append(Run(start, offset, size, stride, count))
+            start, offset, size, stride, count = pos, off, n, n, 1
+        last = off
+        pos += n
+    if count:
+        runs.append(Run(start, offset, size, stride, count))
+    return runs
 
 
 def stripe_location(offset: int, sp: StripingParams) -> tuple[int, int]:

@@ -198,6 +198,13 @@ class TestCli:
         assert "= 12" in out
         assert "10695168" in out
 
+    def test_importing_cli_leaves_the_harness_unloaded(self):
+        # Every `serve` process imports cli; only `bench` needs the harness.
+        probe = "import sys, listio_pfs.cli; print('listio_pfs.bench' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "False"
+
     def test_bench_cli_runs_and_writes_csv(self, tmp_path, capsys):
         csv = tmp_path / "cli.csv"
         code = cli.main([

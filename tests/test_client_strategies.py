@@ -3,6 +3,7 @@ import math
 import random
 import socketserver
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,9 @@ from listio_pfs.client import (
     pvfs_write_list,
 )
 from listio_pfs.errors import NotFoundError, PlanError, ProtocolError
-from listio_pfs.regions import RegionList, StripingParams
+from listio_pfs.regions import RegionList, StripingParams, strided_runs
 from listio_pfs.bench import reassemble_file
+from listio_pfs.workloads import FlashSpec, gen_flash
 
 from oracles import count_windows, overlay, random_file_regions, random_mem_regions
 
@@ -276,21 +278,63 @@ class TestSieving:
                                     session.striping, len(base))
             assert final == overlay(base, file_regions, stream)
 
+    @pytest.mark.parametrize("writing", [False, True])
+    @pytest.mark.parametrize("mem,moves", [
+        (None, 0),                                       # one memory region
+        ([(7 + i * 600, 512) for i in range(96)], 3),    # one region a piece
+    ], ids=["direct", "staged"])
+    def test_one_plan_move_per_window(self, cluster, unique_name, monkeypatch,
+                                      writing, mem, moves):
+        # 96 pieces of 512 B over three 32 KiB windows.
+        regions = [(i * 1024, 512) for i in range(96)]
+        plan = make_plan(regions, mem)
+        rng = random.Random(7)
+        image = rng.randbytes(96 * 1024)
+        stream = rng.randbytes(plan.total_length)
+        with prepared_file(cluster, unique_name, image) as session:
+            buf = bytearray(max(off + n for off, n in plan.mem))
+            if writing:
+                plan.scatter(buf, 0, stream)
+            calls = []
+            for name in ("scatter", "gather"):
+                def counted(self, *args, _move=getattr(AccessPlan, name)):
+                    calls.append(_move.__name__)
+                    return _move(self, *args)
+                monkeypatch.setattr(AccessPlan, name, counted)
+            access = access_sieving_write if writing else access_sieving_read
+            access(session, plan, buf, SievingConfig(32768))
+            monkeypatch.undo()
+            assert calls == ["gather" if writing else "scatter"] * moves
+            if writing:
+                final = reassemble_file(cluster.storage_roots, session.handle,
+                                        session.striping, len(image))
+                assert final == overlay(image, regions, stream)
+            else:
+                wanted = b"".join(image[off : off + n] for off, n in regions)
+                assert plan.gather(buf, 0, plan.total_length) == wanted
 
-class _SkewedReplies(socketserver.BaseRequestHandler):
-    """A stub daemon: attaches any handle, answers every read with
-    `server.skew` bytes more (or fewer) than asked for, all zeros."""
+
+class _StubDaemon(socketserver.BaseRequestHandler):
+    """A stub daemon: answers every read with `server.skew` bytes more (or
+    fewer) than asked for, all zeros. It attaches any handle, unless
+    `server.refuse_open` is set: then it refuses every OPEN with
+    STATUS_INVALID. It counts connections, and the ones the client closed."""
 
     def handle(self):
         self.server.connections += 1
         try:
             while (request := wire.recv_request(self.request)) is not None:
                 header = request[0]
+                if header.opcode == wire.OPEN and self.server.refuse_open:
+                    wire.send_response(self.request, header.request_id,
+                                       wire.STATUS_INVALID, b"refused")
+                    continue
                 n = 0
                 if header.opcode in (wire.READ, wire.READ_LIST):
                     n = header.length + self.server.skew
                 wire.send_response(self.request, header.request_id,
                                    wire.STATUS_OK, bytes(n))
+            self.server.hangups += 1
         except (OSError, ProtocolError):
             pass  # the client hung up mid-reply
 
@@ -304,13 +348,15 @@ class _NoManager:
 
 
 @contextlib.contextmanager
-def _skewed_session(skew):
-    """A session on a two-daemon file whose daemons are one _SkewedReplies
-    stub; yields (stub server, session)."""
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _SkewedReplies)
+def _stub_session(skew=0, refuse_open=False):
+    """A session on a two-daemon file whose daemons are one _StubDaemon;
+    yields (stub server, session)."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _StubDaemon)
     server.daemon_threads = True
     server.skew = skew
+    server.refuse_open = refuse_open
     server.connections = 0
+    server.hangups = 0
     thread = threading.Thread(target=server.serve_forever, args=(0.05,),
                               daemon=True)
     thread.start()
@@ -336,7 +382,7 @@ class TestShortReplies:
                                    "read"),
     ], ids=["read-one-span", "read-two-spans", "read-list"])
     def test_wrong_length_reply_raises(self, skew, access):
-        with _skewed_session(skew) as (_server, session):
+        with _stub_session(skew) as (_server, session):
             buf = bytearray(b"\xff" * 16)
             with pytest.raises(ProtocolError):
                 access(session, buf)
@@ -344,11 +390,28 @@ class TestShortReplies:
     def test_rejected_reply_drops_its_connection(self):
         # The over-long reply is refused before its payload is read; a
         # reused connection would parse those bytes as the next reply.
-        with _skewed_session(1) as (server, session):
+        with _stub_session(1) as (server, session):
             for attempt in (1, 2):
                 with pytest.raises(ProtocolError, match="exceeds buffer"):
                     pvfs_read(session, 0, bytearray(16))
                 assert server.connections == attempt
+
+
+class TestAttach:
+    def test_refused_attach_closes_its_connection(self):
+        with _stub_session(refuse_open=True) as (server, session):
+            # The failures are kept: their tracebacks hold the frames that
+            # made each channel, so only close() can end a connection here.
+            failures = []
+            for _ in range(3):
+                with pytest.raises(ValueError, match="refused") as failure:
+                    session.stat()
+                failures.append(failure)
+            deadline = time.monotonic() + 10
+            while server.hangups < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert (server.connections, server.hangups) == (3, 3)
+            assert not session._daemons
 
 
 class TestListApi:
@@ -434,6 +497,52 @@ class TestPlanValidation:
                 assert m.useful_bytes == 0
 
 
+@st.composite
+def memory_lists(draw):
+    """Memory lists built from pieces placed at random bases, so that the
+    pieces may descend and overlap: strided element runs (sizes 1-9,
+    strides that are and are not multiples of the size, overlapping ones
+    too), back-to-back regions, and single regions."""
+    regions = []
+    for _ in range(draw(st.integers(1, 6))):
+        base = draw(st.integers(0, 99))
+        size = draw(st.integers(1, 9))
+        kind = draw(st.sampled_from(["multiple", "any", "back-to-back",
+                                     "single"]))
+        count = 1 if kind == "single" else draw(st.integers(2, 9))
+        stride = {"multiple": size * draw(st.integers(2, 5)),
+                  "any": draw(st.integers(1, 2 * size + 3)),
+                  "back-to-back": size, "single": size}[kind]
+        regions += [(base + k * stride, size) for k in range(count)]
+    return regions
+
+
+def reference_scatter(mem, buf, pos, data):
+    """Per-region scatter: later regions overwrite earlier ones."""
+    start = 0
+    for off, n in mem:
+        lo, hi = max(pos, start), min(pos + len(data), start + n)
+        if lo < hi:
+            buf[off + lo - start : off + hi - start] = data[lo - pos : hi - pos]
+        start += n
+
+
+def reference_span(mem, pos, length):
+    """(start, stop) of the buffer slice holding plan bytes [pos,
+    pos+length) when one region holds them all, else None."""
+    start = 0
+    for off, n in mem:
+        if start <= pos < start + n:
+            at = off + pos - start
+            return (at, at + length) if pos + length <= start + n else None
+        start += n
+
+
+class _SliceRecorder:
+    def __getitem__(self, index):
+        return index.start, index.stop
+
+
 class TestScatterGather:
     @given(
         cuts=st.lists(st.integers(1, 40), min_size=1, max_size=12),
@@ -456,3 +565,38 @@ class TestScatterGather:
         # partial windows agree too
         if total > 2:
             assert plan.gather(buf, 1, total - 2) == payload[1 : total - 1]
+
+    @given(mem=memory_lists(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_runs_move_bytes_as_regions_do(self, mem, data):
+        runs = strided_runs(mem)
+        expanded, pos = [], 0
+        for run in runs:
+            assert run.pos == pos and run.stride > 0
+            expanded += [(run.offset + k * run.stride, run.size)
+                         for k in range(run.count)]
+            pos += run.size * run.count
+        assert expanded == mem
+
+        total = sum(n for _off, n in mem)
+        plan = AccessPlan(RegionList(mem), RegionList([(0, total)]))
+        buflen = max(off + n for off, n in mem)
+        image = data.draw(st.binary(min_size=buflen, max_size=buflen))
+        flat = b"".join(image[off : off + n] for off, n in mem)
+        for _ in range(3):
+            pos = data.draw(st.integers(0, total - 1))
+            length = data.draw(st.integers(1, total - pos))
+            assert plan.gather(image, pos, length) == flat[pos : pos + length]
+            assert (plan.mem_span(_SliceRecorder(), pos, length)
+                    == reference_span(mem, pos, length))
+            payload = data.draw(st.binary(min_size=length, max_size=length))
+            got, want = bytearray(image), bytearray(image)
+            plan.scatter(got, pos, payload)
+            reference_scatter(mem, want, pos, payload)
+            assert got == want
+
+    def test_flash_plan_walks_as_runs_of_eight(self):
+        plan = gen_flash(FlashSpec(procs=2, proc_id=0, nblocks=2))
+        runs = strided_runs(plan.mem)
+        assert (len(plan.mem), len(runs)) == (24576, 3072)
+        assert {(run.size, run.stride, run.count) for run in runs} == {(8, 192, 8)}

@@ -228,6 +228,28 @@ def request_streams(draw):
     return bytes(stream[: draw(st.integers(0, len(stream)))])
 
 
+@st.composite
+def response_streams(draw):
+    """Plain random bytes, or a few responses (a 20-byte prefix of request
+    id, status and payload length, then the payload) laid out as
+    PROTOCOL.md says, then possibly with one byte changed, cut at a random
+    length."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=2000))
+    frames = []
+    for _ in range(draw(st.integers(1, 3))):
+        payload = draw(st.binary(max_size=64))
+        status = draw(st.integers(0, wire.STATUS_INTERNAL)
+                      | st.integers(0, 2**32 - 1))
+        frames.append(struct.pack("<QIQ", draw(u64), status, len(payload))
+                      + payload)
+    stream = bytearray(b"".join(frames))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(stream) - 1))
+        stream[at] = draw(st.integers(0, 255))
+    return bytes(stream[: draw(st.integers(0, len(stream)))])
+
+
 class TestStreamFuzz:
     @given(stream=request_streams())
     @settings(max_examples=300, deadline=None)
@@ -246,6 +268,27 @@ class TestStreamFuzz:
                 header, trailing, data = frame
                 assert (trailing is None) == (header.opcode not in wire.LIST_OPCODES)
                 assert isinstance(data, bytes)
+        finally:
+            writer.close()
+            reader.close()
+
+    @given(stream=response_streams(), out_size=st.none() | st.integers(0, 80))
+    @settings(max_examples=300, deadline=None)
+    def test_recv_response_returns_or_rejects(self, stream, out_size):
+        writer, reader = socket.socketpair()
+        try:
+            writer.sendall(stream)
+            writer.close()
+            out = None if out_size is None else memoryview(bytearray(out_size))
+            while True:
+                try:
+                    _rid, status, payload = wire.recv_response(reader, out=out)
+                except ProtocolError:
+                    return
+                if out is not None and status == wire.STATUS_OK:
+                    assert 0 <= payload <= len(out)
+                else:
+                    assert isinstance(payload, bytes)
         finally:
             writer.close()
             reader.close()
