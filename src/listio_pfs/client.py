@@ -26,7 +26,9 @@ import itertools
 import socket
 import time
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import itemgetter
 
 from . import wire
@@ -121,6 +123,64 @@ class ClientMetrics:
 # Element sizes that a strided run moves with one memoryview copy.
 _ELEMENT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _run_pos = itemgetter(0)
+_run_offset = itemgetter(1)
+
+
+def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0) -> None:
+    """Copy bytes [pos, pos+len(data)) of strided runs' flattened order
+    between `data`, which holds them in that order, and `buffer`, which
+    holds each run's regions at their offsets minus `base`: into `buffer`
+    when `into_buffer`, else into `data`. Regions are written in run
+    order, so where they overlap the later one wins.
+
+    A back-to-back run moves as one slice. Whole elements of 1, 2, 4 or 8
+    bytes at a stride that is a multiple of their size move with one
+    strided memoryview copy; anything else moves one slice per element.
+    """
+    n = len(data)
+    if not n:
+        return
+    i = bisect_right(runs, pos, key=_run_pos) - 1
+    start, offset, size, stride, count = runs[i]
+    offset -= base
+    views = None  # byte views of buffer and data, made for the first cast
+    done = 0
+    while True:
+        rel = pos - start
+        code = None
+        if stride == size:  # back to back: one slice
+            at = offset + rel
+            take = min(size * count - rel, n - done)
+        else:
+            element, intra = divmod(rel, size)
+            at = offset + element * stride + intra
+            whole = 0 if intra else min(count - element, (n - done) // size)
+            if whole > 1 and not stride % size:
+                code = _ELEMENT_FORMATS.get(size)
+            # Else one element, or the part of one that the range holds.
+            take = whole * size if code else min(size - intra, n - done)
+        if code:
+            if views is None:
+                views = memoryview(buffer), memoryview(data)
+            b = views[0][at : at + (whole - 1) * stride + size]
+            b = b.cast(code)[:: stride // size]
+            d = views[1][done : done + take].cast(code)
+            if into_buffer:
+                b[:] = d
+            else:
+                d[:] = b
+        elif into_buffer:
+            buffer[at : at + take] = data[done : done + take]
+        else:
+            data[done : done + take] = buffer[at : at + take]
+        done += take
+        if done == n:
+            return
+        pos += take
+        if pos == start + size * count:
+            i += 1
+            start, offset, size, stride, count = runs[i]
+            offset -= base
 
 
 class AccessPlan:
@@ -130,13 +190,10 @@ class AccessPlan:
     of the flattened file list. The file list must be sorted and
     non-overlapping; the memory list may be in any order.
 
-    Bytes move between plan order and memory run by run: on first use the
-    memory list is grouped into strided runs (regions.strided_runs), and
-    whole elements of a run that are 1, 2, 4 or 8 bytes at a stride that
-    is a multiple of their size move with one strided memoryview copy.
+    Both lists are walked as strided runs (regions.strided_runs), each
+    built on first use: the memory runs move plan bytes to and from the
+    buffer, the file runs to and from sieving windows.
     """
-
-    __slots__ = ("mem", "file", "total_length", "_runs")
 
     def __init__(self, mem, file):
         mem = mem if isinstance(mem, RegionList) else RegionList(mem)
@@ -151,85 +208,72 @@ class AccessPlan:
         self.mem = mem
         self.file = file
         self.total_length = file.total_length
-        self._runs: list[Run] | None = None
 
-    def _seek(self, pos: int) -> int:
-        """Index of the memory run holding plan byte `pos`."""
-        if self._runs is None:
-            self._runs = strided_runs(self.mem)
-        return bisect_right(self._runs, pos, key=_run_pos) - 1
+    @cached_property
+    def mem_runs(self) -> list[Run]:
+        return strided_runs(self.mem)
+
+    @cached_property
+    def file_runs(self) -> list[Run]:
+        return strided_runs(self.file)
 
     def mem_span(self, buffer, pos: int, length: int):
         """The buffer slice holding plan bytes [pos, pos+length) when they
         lie in one memory region, else None."""
-        i = self._seek(pos)
-        start, offset, size, stride, _count = self._runs[i]
+        runs = self.mem_runs
+        start, offset, size, stride, _count = runs[
+            bisect_right(runs, pos, key=_run_pos) - 1]
         element, intra = divmod(pos - start, size)
         if intra + length > size:
             return None
         at = offset + element * stride + intra
         return buffer[at : at + length]
 
-    def _move(self, buffer, pos: int, data, into_memory: bool) -> None:
-        """Copy plan bytes [pos, pos+len(data)) between `data`, which holds
-        them in plan order, and their memory regions in `buffer`: into the
-        regions when `into_memory`, else into `data`. Regions are written
-        in list order, so where they overlap the later one wins."""
-        n = len(data)
-        if not n:
-            return
-        i = self._seek(pos)
-        runs = self._runs
-        start, offset, size, stride, count = runs[i]
-        views = None  # byte views of buffer and data, made for the first cast
-        done = 0
-        while True:
-            rel = pos - start
-            code = None
-            if stride == size:  # back to back: one slice
-                at = offset + rel
-                take = min(size * count - rel, n - done)
-            else:
-                element, intra = divmod(rel, size)
-                at = offset + element * stride + intra
-                whole = 0 if intra else min(count - element, (n - done) // size)
-                if whole > 1 and not stride % size:
-                    code = _ELEMENT_FORMATS.get(size)
-                # Else one element, or the part of one that the range holds.
-                take = whole * size if code else min(size - intra, n - done)
-            if code:
-                if views is None:
-                    views = memoryview(buffer), memoryview(data)
-                m = views[0][at : at + (whole - 1) * stride + size]
-                m = m.cast(code)[:: stride // size]
-                d = views[1][done : done + take].cast(code)
-                if into_memory:
-                    m[:] = d
-                else:
-                    d[:] = m
-            elif into_memory:
-                buffer[at : at + take] = data[done : done + take]
-            else:
-                data[done : done + take] = buffer[at : at + take]
-            done += take
-            if done == n:
-                return
-            pos += take
-            if pos == start + size * count:
-                i += 1
-                start, offset, size, stride, count = runs[i]
-
     def scatter(self, buffer, pos: int, data) -> None:
         """Copy plan bytes [pos, pos+len(data)) into the memory regions."""
-        self._move(buffer, pos, data, True)
+        _move(self.mem_runs, buffer, pos, data, True)
 
     def gather(self, buffer, pos: int, length: int) -> bytes:
         """Collect plan bytes [pos, pos+length) from the memory regions."""
         # One output buffer, not one bytes object per region: a batch of
         # single-element regions would otherwise hold thousands at once.
         out = bytearray(length)
-        self._move(buffer, pos, out, False)
+        _move(self.mem_runs, buffer, pos, out, False)
         return bytes(out)
+
+    def windows(self, size: int):
+        """Yield (ws, we, first, last) for each window [ws, we) that tiles
+        the file extent from its start in `size` steps and holds plan
+        bytes: [first, last) are the plan bytes whose file offsets lie in
+        it. Windows that hold none are skipped; the plan is not empty."""
+        runs = self.file_runs
+        ext = extent(self.file)
+        last = 0
+        for ws in range(ext.offset, ext.end, size):
+            we = min(ws + size, ext.end)
+            # The plan position of the first plan byte at or after `we`.
+            pos, offset, n, stride, count = runs[
+                bisect_right(runs, we, key=_run_offset) - 1]
+            element, intra = divmod(we - offset, stride)
+            first, last = last, pos + min(element * n + min(intra, n), n * count)
+            if first < last:
+                yield ws, we, first, last
+
+
+@contextmanager
+def _plan_bytes(plan: AccessPlan, view, pos: int, length: int, reading: bool):
+    """Plan bytes [pos, pos+length) in plan order: the buffer's own slice
+    when they lie in one memory region, else a staging buffer, gathered
+    before a write or scattered after a read."""
+    direct = plan.mem_span(view, pos, length)
+    if direct is not None:
+        yield direct
+    elif reading:
+        staged = bytearray(length)
+        yield memoryview(staged)
+        plan.scatter(view, pos, staged)
+    else:
+        yield memoryview(plan.gather(view, pos, length))
 
 
 def _raise_for_status(status: int, detail: bytes) -> None:
@@ -422,11 +466,13 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
                                      limit if listed else None):
         total = local.total_length
         offset, trailing = (0, local) if listed else (local[0].offset, None)
-        # A message made of one run moves straight between socket and view.
+        # A message of one back-to-back run moves straight between socket
+        # and view; any other is copied run by run.
         direct = None
         if len(runs) == 1:
-            pos, n = runs[0]
-            direct = view[pos : pos + n]
+            _pos, at, size, stride, _count = runs[0]
+            if stride == size:
+                direct = view[at : at + total]
         if reading:
             reply = session._request(slot, opcode, offset=offset, length=total,
                                      regions=trailing, out=direct)
@@ -436,16 +482,13 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
                     f"{wire.OPCODE_NAMES[opcode]} returned {got} of {total} bytes"
                 )
             if direct is None:
-                data = memoryview(reply)
-                taken = 0
-                for pos, n in runs:
-                    view[pos : pos + n] = data[taken : taken + n]
-                    taken += n
+                _move(runs, view, 0, memoryview(reply), True)
             m.wire_bytes_read += total
         else:
             payload = direct
             if payload is None:
-                payload = b"".join([view[pos : pos + n] for pos, n in runs])
+                payload = bytearray(total)
+                _move(runs, view, 0, payload, False)
             session._request(slot, opcode, offset=offset, length=total,
                              regions=trailing, payload=payload)
             m.wire_bytes_written += total
@@ -507,77 +550,24 @@ def access_multiple(
     return _accounted(session, plan.total_length, body)
 
 
-def _window_fragments(plan: AccessPlan, buffer_size: int):
-    """Yield (window_start, window_len, fragments) for non-empty windows.
-
-    Windows tile the plan's file extent from its start in buffer_size steps;
-    fragments are (file_offset, length, plan_position) triples clipped to
-    the window. Windows containing no plan bytes are skipped.
-    """
-    ext = extent(plan.file)
-    regions = plan.file
-    count = len(regions)
-    r = 0
-    r_pos = 0  # plan position of regions[r]
-    ws = ext.offset
-    while ws < ext.end:
-        we = min(ws + buffer_size, ext.end)
-        fragments = []
-        while r < count:
-            reg = regions[r]
-            if reg.offset >= we:
-                break
-            start = max(reg.offset, ws)
-            stop = min(reg.end, we)
-            if start < stop:
-                fragments.append((start, stop - start, r_pos + start - reg.offset))
-            if reg.end <= we:
-                r += 1
-                r_pos += reg.length
-            else:
-                break
-        if fragments:
-            yield ws, we - ws, fragments
-        ws = we
-
-
 def _sieve(session: FileSession, plan: AccessPlan, buffer,
            cfg: SievingConfig, writing: bool) -> None:
-    """Read each non-empty extent window whole, then move the plan's bytes
-    out of it, or into it and write it back whole.
-
-    A window's fragments hold one stretch of plan bytes. When that stretch
-    lies in one memory region the fragments move straight between window
-    and buffer; otherwise it is staged in plan order and gathered or
-    scattered once.
-    """
+    """Read each extent window that holds plan bytes whole, then move the
+    plan's bytes out of it, or into it and write it back whole. A window's
+    plan bytes move with one walk of the plan's file runs."""
     if not len(plan.file):
         return
     view = memoryview(buffer)
-    scratch = bytearray(min(cfg.buffer_size, extent(plan.file).length))
-    for ws, wlen, fragments in _window_fragments(plan, cfg.buffer_size):
-        window = memoryview(scratch)[:wlen]
-        span = ((ws, wlen),)
+    scratch = memoryview(bytearray(min(cfg.buffer_size,
+                                       extent(plan.file).length)))
+    for ws, we, first, last in plan.windows(cfg.buffer_size):
+        window = scratch[: we - ws]
+        span = ((ws, we - ws),)
         _exchange(session, wire.READ, span, window)
-        first = fragments[0][2]
-        _off, last_len, last = fragments[-1]
-        n = last + last_len - first
-        stretch = plan.mem_span(view, first, n)
-        staged = stretch is None
-        if staged:
-            stretch = memoryview(plan.gather(view, first, n) if writing
-                                 else bytearray(n))
-        for file_off, length, pos in fragments:
-            w = file_off - ws
-            p = pos - first
-            if writing:
-                window[w : w + length] = stretch[p : p + length]
-            else:
-                stretch[p : p + length] = window[w : w + length]
+        with _plan_bytes(plan, view, first, last - first, not writing) as stretch:
+            _move(plan.file_runs, window, first, stretch, writing, ws)
         if writing:
             _exchange(session, wire.WRITE, span, window)
-        elif staged:
-            plan.scatter(view, first, stretch)
 
 
 def access_sieving_read(
@@ -631,16 +621,8 @@ def access_list(
         pos = 0
         for batch in batch_regions(plan.file, limit):
             n = batch.total_length
-            direct = plan.mem_span(view, pos, n)
-            if direct is not None:
-                _exchange(session, opcode, batch, direct, limit)
-            elif opcode == wire.READ_LIST:
-                staged = bytearray(n)
-                _exchange(session, opcode, batch, memoryview(staged), limit)
-                plan.scatter(view, pos, staged)
-            else:
-                _exchange(session, opcode, batch,
-                          memoryview(plan.gather(view, pos, n)), limit)
+            with _plan_bytes(plan, view, pos, n, opcode == wire.READ_LIST) as part:
+                _exchange(session, opcode, batch, part, limit)
             pos += n
 
     return _accounted(session, plan.total_length, body)

@@ -181,14 +181,15 @@ def stripe_chunks(
 class Message(NamedTuple):
     """One daemon request of a fanned-out logical request.
 
-    `regions` are server-local and in wire order. `runs` are the
-    (position, length) stretches of the logical request's file-order bytes
-    that make up the message's bytes, in the same order.
+    `regions` are server-local and in wire order. `runs` map the message's
+    bytes to the logical request's file-order bytes as strided runs
+    `(pos, offset, size, stride, count)`, like Run: `pos` is a position in
+    the message, `offset` one in the request.
     """
 
     slot: int
     regions: RegionList
-    runs: list[tuple[int, int]]
+    runs: list[tuple[int, int, int, int, int]]
 
 
 def split_by_server(
@@ -198,9 +199,9 @@ def split_by_server(
     """Fan sorted, non-overlapping file regions out as list messages.
 
     Regions are cut at stripe edges and the fragments never re-merged, so
-    each local region has one run: its fragment's file-order position.
-    Each server receives its fragments sorted by local offset, at most
-    `limit` per message; servers come in slot order.
+    the wire keeps list granularity. Each server receives its fragments
+    sorted by local offset, at most `limit` per message; servers come in
+    slot order.
     """
     by_slot: dict[int, list[tuple[int, int, int]]] = {}
     pos = 0
@@ -219,7 +220,7 @@ def split_by_server(
                 slot,
                 RegionList._wrap(tuple(Region(local, take)
                                        for local, take, _pos in chunk)),
-                [(p, take) for _local, take, p in chunk],
+                strided_runs((p, take) for _local, take, p in chunk),
             ))
     return messages
 
@@ -244,10 +245,12 @@ def fan_out(
     if k0 == k1 or pcount == 1:  # one run: one stripe, or one server
         span = Region((k0 // pcount) * ssize + within, length)
         return [Message((sp.base + k0) % pcount,
-                        RegionList._wrap((span,), length), [(0, length)])]
+                        RegionList._wrap((span,), length),
+                        [(0, 0, length, length, 1)])]
     # A server's stripes are every pcount-th stripe from its first one and
     # sit back to back in its local file. So its share of the range is one
-    # local span, and only its first and last run can be partial.
+    # local span, and its runs are a partial first stripe, its whole
+    # stripes as one strided run, and a partial last stripe.
     step = pcount * ssize
     messages = []
     for k in range(k0, min(k0 + pcount, k1 + 1)):
@@ -256,13 +259,24 @@ def fan_out(
         hi = lo + (k1 - k) // pcount * step
         head = max(lo, 0)
         tail = min(hi + ssize, length)
-        runs = [(pos, ssize) for pos in range(lo, hi + 1, step)]
-        runs[-1] = (hi, tail - hi)
-        runs[0] = (head, runs[0][1] - (head - lo))
-        span = Region((k // pcount) * ssize + head - lo,
-                      (hi - lo) // step * ssize + tail - hi - (head - lo))
-        messages.append(Message((sp.base + k) % pcount,
-                                RegionList._wrap((span,), span.length), runs))
+        size = (hi - lo) // step * ssize + tail - hi - (head - lo)
+        # Request positions of its first and last whole stripe.
+        first = lo if lo >= 0 else lo + step
+        last = hi if hi + ssize <= length else hi - step
+        runs, pos = [], 0
+        if first > lo or last < lo:  # a partial first stripe
+            pos = min(lo + ssize, tail) - head
+            runs.append((0, head, pos, pos, 1))
+        if first <= last:
+            count = (last - first) // step + 1
+            runs.append((pos, first, ssize, step if count > 1 else ssize, count))
+        if last < hi and lo < hi:  # a partial last stripe, not the first
+            runs.append((size - (tail - hi), hi, tail - hi, tail - hi, 1))
+        messages.append(Message(
+            (sp.base + k) % pcount,
+            RegionList._wrap((Region((k // pcount) * ssize + head - lo, size),),
+                             size),
+            runs))
     return messages
 
 

@@ -151,7 +151,11 @@ class Manager(_Endpoint):
         self._by_handle: dict[int, FileMetadata] = {}
         self._roster: list[str] = []
         self._tokens: dict[int, _Token] = {}
-        self._handles = itertools.count(1)
+        # Handles start at a random per-boot epoch in their high 32 bits, so
+        # a restarted manager never hands out a handle whose stripe files an
+        # earlier boot left on the daemons.
+        epoch = int.from_bytes(os.urandom(4), "little") or 1
+        self._handles = itertools.count(epoch << 32)
 
     # -- metadata operations -------------------------------------------
 

@@ -13,7 +13,7 @@ import struct
 from typing import NamedTuple
 
 from .errors import ProtocolError
-from .regions import Region, RegionList, StripingParams
+from .regions import RegionList, StripingParams
 
 MAGIC = 0x50564C31
 VERSION = 1
@@ -159,12 +159,9 @@ def decode_request(data) -> tuple[IoRequestHeader, RegionList | None]:
         raise ProtocolError(
             f"truncated trailing regions: need {need} bytes, have {len(data)}"
         )
-    regions = [
-        Region(*_REGION.unpack_from(data, HEADER_SIZE + i * REGION_ENTRY_SIZE))
-        for i in range(header.region_count)
-    ]
+    entries = _REGION.iter_unpack(memoryview(data)[HEADER_SIZE:need])
     try:
-        trailing = RegionList(regions)
+        trailing = RegionList(entries)
     except Exception as exc:
         raise ProtocolError(f"invalid trailing region: {exc}") from exc
     if header.length != trailing.total_length:

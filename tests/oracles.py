@@ -69,6 +69,23 @@ def offsets_to_regions(offsets: list[int]) -> list[tuple[int, int]]:
     return regions
 
 
+def expand_runs(runs) -> list[tuple[int, int]]:
+    """The (offset, size) regions of (pos, offset, size, stride, count)
+    strided runs, in order; checks that each run starts at the running byte
+    total and that a run of one region has stride == size."""
+    regions, pos = [], 0
+    for run_pos, offset, size, stride, count in runs:
+        assert run_pos == pos and stride > 0 and (count > 1 or stride == size)
+        regions += [(offset + k * stride, size) for k in range(count)]
+        pos += size * count
+    return regions
+
+
+def region_bytes(regions) -> list[int]:
+    """Every byte offset of a region list, in list order."""
+    return [off + j for off, n in regions for j in range(n)]
+
+
 def fragment_regions(regions, pieces_each: int) -> list[tuple[int, int]]:
     """Split each region into equal adjacent pieces."""
     out = []

@@ -262,3 +262,5 @@ class TestExternalProcesses:
                     p.wait(timeout=5)
                 except subprocess.TimeoutExpired:
                     p.kill()
+                    p.wait()
+                p.stdout.close()

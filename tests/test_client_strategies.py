@@ -27,6 +27,7 @@ from listio_pfs.client import (
     pvfs_read_list,
     pvfs_write,
     pvfs_write_list,
+    _move,
 )
 from listio_pfs.errors import NotFoundError, PlanError, ProtocolError
 from listio_pfs.regions import RegionList, StripingParams, strided_runs
@@ -517,6 +518,22 @@ def memory_lists(draw):
     return regions
 
 
+@st.composite
+def file_lists(draw):
+    """Sorted, disjoint file lists built from strided segments, single
+    regions and back-to-back regions, with gaps of 0-12 bytes between
+    pieces, so that pieces also touch."""
+    regions, at = [], draw(st.integers(0, 20))
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, 9))
+        kind = draw(st.sampled_from(["strided", "back-to-back", "single"]))
+        count = 1 if kind == "single" else draw(st.integers(2, 9))
+        stride = size + (draw(st.integers(1, 12)) if kind == "strided" else 0)
+        regions += [(at + k * stride, size) for k in range(count)]
+        at += (count - 1) * stride + size + draw(st.integers(0, 12))
+    return regions
+
+
 def reference_scatter(mem, buf, pos, data):
     """Per-region scatter: later regions overwrite earlier ones."""
     start = 0
@@ -593,6 +610,41 @@ class TestScatterGather:
             got, want = bytearray(image), bytearray(image)
             plan.scatter(got, pos, payload)
             reference_scatter(mem, want, pos, payload)
+            assert got == want
+
+    @given(file=file_lists(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_windows_take_the_plan_bytes_they_clip(self, file, data):
+        plan = make_plan(file)
+        start, end = file[0][0], file[-1][0] + file[-1][1]
+        size = data.draw(st.integers(1, 2 * (end - start)))
+        image = data.draw(st.binary(min_size=end, max_size=end))
+        windows = list(plan.windows(size))
+        assert len(windows) == count_windows(file, size)
+        expected = []
+        for ws in range(start, end, size):
+            we = min(ws + size, end)
+            # (plan position, file offset, length) of each region's clip
+            clips, pos = [], 0
+            for off, n in file:
+                lo, hi = max(off, ws), min(off + n, we)
+                if lo < hi:
+                    clips.append((pos + lo - off, lo, hi - lo))
+                pos += n
+            if clips:
+                first, last = clips[0][0], clips[-1][0] + clips[-1][2]
+                expected.append((ws, we, first, last, clips))
+        assert windows == [window[:4] for window in expected]
+        for ws, we, first, last, clips in expected:
+            taken = bytearray(last - first)
+            _move(plan.file_runs, image[ws:we], first, taken, False, ws)
+            assert taken == b"".join(image[lo : lo + n] for _p, lo, n in clips)
+            payload = data.draw(st.binary(min_size=last - first,
+                                          max_size=last - first))
+            got, want = bytearray(image[ws:we]), bytearray(image[ws:we])
+            _move(plan.file_runs, got, first, payload, True, ws)
+            for p, lo, n in clips:
+                want[lo - ws : lo - ws + n] = payload[p - first : p - first + n]
             assert got == want
 
     def test_flash_plan_walks_as_runs_of_eight(self):

@@ -8,7 +8,6 @@ from listio_pfs.regions import (
     RegionList,
     StripingParams,
     TransferPiece,
-    Message,
     batch_regions,
     count_transfer_pieces,
     extent,
@@ -23,7 +22,7 @@ from listio_pfs.regions import (
 )
 from listio_pfs.workloads import FlashSpec, flash_file_regions
 
-from oracles import deal_layout, region_byte_set
+from oracles import deal_layout, expand_runs, region_byte_set, region_bytes
 
 SP8 = StripingParams(0, 8, 16384)
 
@@ -84,13 +83,16 @@ class TestStripingReconstruction:
 
 class TestSplitByServer:
     def test_single_stripe(self):
-        out = split_by_server(RegionList([(0, 16384)]), SP8)
-        assert out == [Message(0, RegionList([(0, 16384)]), [(0, 16384)])]
+        (out,) = split_by_server(RegionList([(0, 16384)]), SP8)
+        assert (out.slot, out.regions) == (0, RegionList([(0, 16384)]))
+        assert expand_runs(out.runs) == [(0, 16384)]
 
     def test_two_stripes(self):
         out = split_by_server(RegionList([(0, 32768)]), SP8)
-        assert out == [Message(0, RegionList([(0, 16384)]), [(0, 16384)]),
-                       Message(1, RegionList([(0, 16384)]), [(16384, 16384)])]
+        assert [(m.slot, m.regions) for m in out] == [
+            (0, RegionList([(0, 16384)])), (1, RegionList([(0, 16384)]))]
+        assert [expand_runs(m.runs) for m in out] == [[(0, 16384)],
+                                                      [(16384, 16384)]]
 
     def test_empty(self):
         assert split_by_server(RegionList(), SP8) == []
@@ -118,8 +120,9 @@ class TestSplitByServer:
         prev = {}
         for server, part, runs in out:
             assert 1 <= len(part) <= limit
-            assert [n for _pos, n in runs] == [r.length for r in part]
-            for r, (at, _n) in zip(part, runs):
+            stretches = expand_runs(runs)
+            assert [n for _pos, n in stretches] == [r.length for r in part]
+            for r, (at, _n) in zip(part, stretches):
                 assert r.offset > prev.get(server, -1)  # sorted by local offset
                 prev[server] = r.offset
                 for j in range(r.length):
@@ -138,7 +141,7 @@ class TestServerSpans:
         split, split_runs = {}, {}
         for server, part, runs in split_by_server(RegionList([(offset, length)]), sp):
             split.setdefault(server, []).extend(part)
-            split_runs.setdefault(server, []).extend(runs)
+            split_runs.setdefault(server, []).extend(expand_runs(runs))
         assert set(spans) == set(split)
         for server, part in split.items():
             assert spans[server].offset == part[0].offset
@@ -149,18 +152,46 @@ class TestServerSpans:
                 assert r.offset == end
                 end = r.end
         # the contiguous fan-out sends each server its span as one message
-        # carrying the split's file-order runs, merged where they touch
+        # of at most three runs carrying the split's file-order bytes
         contiguous = fan_out([Region(offset, length)], sp)
         assert [m.slot for m in contiguous] == list(spans)
         for server, (span,), runs in contiguous:
             assert span == spans[server]
-            merged = []
-            for at, n in split_runs[server]:
-                if merged and merged[-1][0] + merged[-1][1] == at:
-                    merged[-1] = (merged[-1][0], merged[-1][1] + n)
-                else:
-                    merged.append((at, n))
-            assert runs == merged
+            assert len(runs) <= 3
+            assert (region_bytes(expand_runs(runs))
+                    == region_bytes(split_runs[server]))
+
+
+class TestFanOutShapes:
+    """Message shapes of the benchmark's traffic, pcount 4, ssize 16 KiB."""
+
+    SP4 = StripingParams(0, 4, 16384)
+
+    def test_cyclic_small_batch_is_one_back_to_back_run_a_message(self):
+        batch = [(i * 1024, 512) for i in range(64)]
+        out = fan_out(batch, self.SP4, 64)
+        assert len(out) == 4
+        for m in out:
+            ((_pos, _at, size, stride, count),) = m.runs
+            assert (size, stride, count) == (512, 512, 16)
+
+    def test_cyclic_large_batch_is_one_strided_run_a_message(self):
+        batch = [(i * 262144, 131072) for i in range(64)]
+        out = fan_out(batch, self.SP4, 64)
+        assert len(out) == 8
+        for m in out:
+            ((_pos, _at, size, stride, count),) = m.runs
+            assert (size, stride, count) == (16384, 65536, 64)
+
+    @pytest.mark.parametrize("offset", [0, 1, 16383, 100000])
+    def test_large_contiguous_range_is_at_most_three_runs(self, offset):
+        length = 16 << 20
+        out = fan_out([(offset, length)], self.SP4)
+        assert len(out) == 4
+        assert all(len(m.runs) <= 3 for m in out)
+        assert sum(m.regions.total_length for m in out) == length
+        whole = [run for m in out for run in m.runs if run[4] > 1]
+        assert {(run[2], run[3]) for run in whole} == {(16384, 65536)}
 
 
 class TestTransferPieces:

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from listio_pfs import wire
-from listio_pfs.client import _Channel
+from listio_pfs.client import _Channel, pvfs_create, pvfs_read, pvfs_write
 from listio_pfs.errors import (
     ExistsError,
     NotFoundError,
@@ -356,4 +356,32 @@ class TestLifecycle:
             finally:
                 d.stop()
         finally:
+            m.stop()
+
+    def test_restart_never_resurrects_old_data(self, tmp_path):
+        root = str(tmp_path / "iod")
+
+        def boot():
+            m = Manager()
+            m.start()
+            d = IoDaemon(root, manager_addr=m.address)
+            d.start()
+            return m, d
+
+        m, d = boot()
+        try:
+            with pvfs_create(m.address, "old", StripingParams(0, 1, 4096)) as s:
+                pvfs_write(s, 0, b"secret!!")
+        finally:
+            d.stop()
+            m.stop()
+        m, d = boot()
+        try:
+            with pvfs_create(m.address, "new", StripingParams(0, 1, 4096)) as s:
+                out = bytearray(b"\xff" * 8)
+                pvfs_read(s, 0, out)
+                assert s.stat() == 0
+                assert out == bytes(8)
+        finally:
+            d.stop()
             m.stop()
