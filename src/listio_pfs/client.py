@@ -135,7 +135,8 @@ def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0) -> Non
 
     A back-to-back run moves as one slice. Whole elements of 1, 2, 4 or 8
     bytes at a stride that is a multiple of their size move with one
-    strided memoryview copy; anything else moves one slice per element.
+    strided memoryview copy, other whole elements with one tight loop of
+    slices; a part of an element moves as one slice.
     """
     n = len(data)
     if not n:
@@ -143,32 +144,44 @@ def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0) -> Non
     i = bisect_right(runs, pos, key=_run_pos) - 1
     start, offset, size, stride, count = runs[i]
     offset -= base
-    views = None  # byte views of buffer and data, made for the first cast
+    views = None  # byte views of buffer and data, made for the first copy
     done = 0
     while True:
         rel = pos - start
-        code = None
+        whole = 0
         if stride == size:  # back to back: one slice
             at = offset + rel
             take = min(size * count - rel, n - done)
         else:
             element, intra = divmod(rel, size)
             at = offset + element * stride + intra
-            whole = 0 if intra else min(count - element, (n - done) // size)
-            if whole > 1 and not stride % size:
-                code = _ELEMENT_FORMATS.get(size)
-            # Else one element, or the part of one that the range holds.
-            take = whole * size if code else min(size - intra, n - done)
-        if code:
+            if not intra:
+                whole = min(count - element, (n - done) // size)
+            # Whole elements, or one element or the part of one that the
+            # range holds.
+            take = whole * size if whole > 1 else min(size - intra, n - done)
+        if whole > 1:
             if views is None:
                 views = memoryview(buffer), memoryview(data)
-            b = views[0][at : at + (whole - 1) * stride + size]
-            b = b.cast(code)[:: stride // size]
-            d = views[1][done : done + take].cast(code)
-            if into_buffer:
-                b[:] = d
+            b, d = views
+            code = _ELEMENT_FORMATS.get(size) if not stride % size else None
+            if code:
+                b = b[at : at + (whole - 1) * stride + size]
+                b = b.cast(code)[:: stride // size]
+                d = d[done : done + take].cast(code)
+                if into_buffer:
+                    b[:] = d
+                else:
+                    d[:] = b
             else:
-                d[:] = b
+                pairs = zip(range(at, at + whole * stride, stride),
+                            range(done, done + take, size))
+                if into_buffer:
+                    for a, p in pairs:
+                        b[a : a + size] = d[p : p + size]
+                else:
+                    for a, p in pairs:
+                        d[p : p + size] = b[a : a + size]
         elif into_buffer:
             buffer[at : at + take] = data[done : done + take]
         else:
@@ -300,32 +313,25 @@ class _Channel:
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rid = itertools.count(1)
 
-    def request(
-        self,
-        opcode: int,
-        *,
-        handle: int = 0,
-        offset: int = 0,
-        length: int = 0,
-        regions: RegionList | None = None,
-        payload=None,
-        out: memoryview | None = None,
-    ):
-        """Send one request and wait for its response.
-
-        Returns the payload bytes, or the payload length when `out` is
-        given (the payload is received straight into it).
-        """
+    def send(self, opcode: int, handle: int = 0, offset: int = 0,
+             length: int = 0, regions: RegionList | None = None,
+             payload=None) -> int:
+        """Send one request; returns its request id."""
         rid = next(self._rid)
         header = wire.IoRequestHeader(
-            opcode,
-            request_id=rid,
-            file_handle=handle,
-            offset=offset,
-            length=length,
-            region_count=0 if regions is None else len(regions),
+            opcode, rid, handle, offset, length,
+            0 if regions is None else len(regions),
         )
         wire.send_request(self.sock, header, regions, payload)
+        return rid
+
+    def receive(self, rid: int, out: memoryview | None = None):
+        """Wait for the response to request `rid`.
+
+        Returns the payload bytes, or the payload length when `out` is
+        given (the payload is received straight into it). An error status
+        raises its exception once the whole reply is read.
+        """
         got_rid, status, result = wire.recv_response(self.sock, out=out)
         if got_rid != rid:
             raise ProtocolError(
@@ -335,6 +341,10 @@ class _Channel:
             detail = result if isinstance(result, bytes) else b""
             _raise_for_status(status, detail)
         return result
+
+    def request(self, opcode: int, *, out: memoryview | None = None, **fields):
+        """Send one request and wait for its response."""
+        return self.receive(self.send(opcode, **fields), out)
 
     def close(self) -> None:
         try:
@@ -357,13 +367,9 @@ class FileSession:
         self._daemons: dict[int, _Channel] = {}
         self.metrics = ClientMetrics()
 
-    def _request(self, slot: int, opcode: int, offset: int = 0, length: int = 0,
-                 regions: RegionList | None = None, payload=None, out=None):
-        """Send one request on this file to the daemon in `slot`, attaching
-        the file on a new channel first; a channel whose attach fails is
-        closed. A request that fails on the socket or on a malformed reply
-        closes and drops its channel, so unread reply bytes never reach the
-        next request."""
+    def _channel(self, slot: int) -> _Channel:
+        """The channel to the daemon in `slot`, attaching the file on a new
+        one first; a channel whose attach fails is closed."""
         channel = self._daemons.get(slot)
         if channel is None:
             channel = _Channel(self.roster[slot])
@@ -373,20 +379,51 @@ class FileSession:
                 channel.close()
                 raise
             self._daemons[slot] = channel
+        return channel
+
+    def _wave(self, requests):
+        """Send every request of one wave, each to a different daemon, before
+        waiting for any reply; then yield the replies in send order, each as
+        it arrives.
+
+        A request is (slot, opcode, offset, length, regions, payload, out);
+        requests are taken one at a time, so a payload need only exist
+        while it is sent. A reply is what _Channel.receive returns, and a
+        read's reply must hold `length` bytes. If anything fails, or the
+        caller stops early, every channel of the wave that has not returned
+        a good reply is closed and dropped, so no stale reply ever reaches
+        a later request.
+        """
+        unread = {}  # slot -> channel that owes a reply
         try:
-            return channel.request(opcode, handle=self.handle, offset=offset,
-                                   length=length, regions=regions,
-                                   payload=payload, out=out)
-        except (ProtocolError, OSError):
-            del self._daemons[slot]
-            channel.close()
+            sent = []
+            for slot, opcode, offset, length, regions, payload, out in requests:
+                channel = unread[slot] = self._channel(slot)
+                sent.append((slot, opcode, length, out,
+                             channel.send(opcode, self.handle, offset, length,
+                                          regions, payload)))
+            for slot, opcode, length, out, rid in sent:
+                reply = unread[slot].receive(rid, out)
+                if opcode in wire.READ_OPCODES:
+                    got = reply if out is not None else len(reply)
+                    if got != length:
+                        raise ProtocolError(f"{wire.OPCODE_NAMES[opcode]} "
+                                            f"returned {got} of {length} bytes")
+                del unread[slot]
+                yield reply
+        except BaseException:
+            for slot, channel in unread.items():
+                self._daemons.pop(slot, None)  # close() may have cleared it
+                channel.close()
             raise
 
     def stat(self) -> int:
         """Current file size: max written end across daemons, unstriped."""
+        slots = range(self.striping.pcount)
+        replies = self._wave((slot, wire.STAT, 0, 0, None, None, None)
+                             for slot in slots)
         end = 0
-        for slot in range(self.striping.pcount):
-            payload = self._request(slot, wire.STAT)
+        for payload, slot in zip(replies, slots):
             local = wire.unpack_u64(payload)
             if local:
                 back = inverse_stripe_location(slot, local - 1, self.striping)
@@ -447,14 +484,51 @@ def pvfs_close(session: FileSession) -> None:
 
 # -- the executor ----------------------------------------------------------
 
+def _waves(messages) -> list:
+    """Group fanned-out messages into waves: the k-th wave holds each
+    slot's k-th message, so no wave sends two messages to one daemon."""
+    waves = []
+    depth = {}
+    for message in messages:
+        k = depth.get(message.slot, 0)
+        depth[message.slot] = k + 1
+        if k == len(waves):
+            waves.append([])
+        waves[k].append(message)
+    return waves
+
+
+def _requests(wave, opcode: int, view, listed: bool, reading: bool):
+    """Yield the FileSession._wave request of each message of a wave. A
+    message of one back-to-back run moves straight between socket and
+    view; any other read is received whole and any other write's payload
+    copied out run by run, only when it is sent."""
+    for slot, local, runs in wave:
+        total = local.total_length
+        offset, trailing = (0, local) if listed else (local[0].offset, None)
+        direct = None
+        if len(runs) == 1:
+            _pos, at, size, stride, _count = runs[0]
+            if stride == size:
+                direct = view[at : at + total]
+        if reading:
+            yield slot, opcode, offset, total, trailing, None, direct
+            continue
+        if direct is None:
+            direct = bytearray(total)
+            _move(runs, view, 0, direct, False)
+        yield slot, opcode, offset, total, trailing, direct, None
+
+
 def _exchange(session: FileSession, opcode: int, file_regions, view,
               limit: int = DEFAULT_REGION_LIMIT) -> None:
     """Carry out one logical request against the daemons.
 
     `view` holds the bytes of the sorted `file_regions` in file order: reads
     fill it, writes send it. List opcodes carry at most `limit` regions per
-    message. This is the only code that sends data requests to daemons and
-    the only code that counts them.
+    message. The messages go out in waves, each sent to all its daemons
+    before any reply is awaited. This is the only code that sends data
+    requests to daemons and the only code that counts them.
     """
     if not len(view):
         return
@@ -462,37 +536,18 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
     reading = opcode in wire.READ_OPCODES
     m = session.metrics
     m.logical_requests += 1
-    for slot, local, runs in fan_out(file_regions, session.striping,
-                                     limit if listed else None):
-        total = local.total_length
-        offset, trailing = (0, local) if listed else (local[0].offset, None)
-        # A message of one back-to-back run moves straight between socket
-        # and view; any other is copied run by run.
-        direct = None
-        if len(runs) == 1:
-            _pos, at, size, stride, _count = runs[0]
-            if stride == size:
-                direct = view[at : at + total]
-        if reading:
-            reply = session._request(slot, opcode, offset=offset, length=total,
-                                     regions=trailing, out=direct)
-            got = reply if direct is not None else len(reply)
-            if got != total:
-                raise ProtocolError(
-                    f"{wire.OPCODE_NAMES[opcode]} returned {got} of {total} bytes"
-                )
-            if direct is None:
-                _move(runs, view, 0, memoryview(reply), True)
-            m.wire_bytes_read += total
-        else:
-            payload = direct
-            if payload is None:
-                payload = bytearray(total)
-                _move(runs, view, 0, payload, False)
-            session._request(slot, opcode, offset=offset, length=total,
-                             regions=trailing, payload=payload)
-            m.wire_bytes_written += total
-        m.server_messages += 1
+    messages = fan_out(file_regions, session.striping, limit if listed else None)
+    # A contiguous request involves each daemon at most once: one wave.
+    for wave in _waves(messages) if listed else (messages,):
+        replies = session._wave(_requests(wave, opcode, view, listed, reading))
+        for reply, (_slot, local, runs) in zip(replies, wave):
+            if reading:
+                if not isinstance(reply, int):  # not received into the view
+                    _move(runs, view, 0, memoryview(reply), True)
+                m.wire_bytes_read += local.total_length
+            else:
+                m.wire_bytes_written += local.total_length
+            m.server_messages += 1
 
 
 def _accounted(session: FileSession, useful_bytes: int, body, *args) -> ClientMetrics:

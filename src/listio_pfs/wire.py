@@ -176,10 +176,6 @@ def encode_response(request_id: int, status: int, payload: bytes = b"") -> bytes
     return _RESPONSE.pack(request_id, status, len(payload)) + payload
 
 
-def encode_response_prefix(request_id: int, status: int, payload_length: int) -> bytes:
-    return _RESPONSE.pack(request_id, status, payload_length)
-
-
 def decode_response_prefix(data) -> tuple[int, int, int]:
     if len(data) < RESPONSE_PREFIX_SIZE:
         raise ProtocolError(f"short response prefix: {len(data)} bytes")
@@ -282,15 +278,27 @@ def read_into_exact(sock: socket.socket, view: memoryview) -> None:
         got += r
 
 
+def _send_frame(sock: socket.socket, head: bytes, payload) -> None:
+    """Send `head`, then `payload` if any, with one sendmsg call; only the
+    unsent tail of a partial send goes out with sendall."""
+    if not payload:
+        sock.sendall(head)
+        return
+    sent = sock.sendmsg((head, payload))
+    if sent < len(head) + len(payload):
+        if sent < len(head):
+            sock.sendall(head[sent:])
+            sent = len(head)
+        sock.sendall(memoryview(payload)[sent - len(head) :])
+
+
 def send_request(
     sock: socket.socket,
     header: IoRequestHeader,
     trailing: RegionList | None = None,
     payload=None,
 ) -> None:
-    sock.sendall(encode_request(header, trailing))
-    if payload:
-        sock.sendall(payload)
+    _send_frame(sock, encode_request(header, trailing), payload)
 
 
 def recv_request(
@@ -314,9 +322,7 @@ def recv_request(
 def send_response(
     sock: socket.socket, request_id: int, status: int, payload=b""
 ) -> None:
-    sock.sendall(encode_response_prefix(request_id, status, len(payload)))
-    if payload:
-        sock.sendall(payload)
+    _send_frame(sock, _RESPONSE.pack(request_id, status, len(payload)), payload)
 
 
 def recv_response(

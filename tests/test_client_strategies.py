@@ -1,9 +1,12 @@
 import contextlib
+import gc
 import math
 import random
+import socket
 import socketserver
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -316,28 +319,74 @@ class TestSieving:
 
 
 class _StubDaemon(socketserver.BaseRequestHandler):
-    """A stub daemon: answers every read with `server.skew` bytes more (or
-    fewer) than asked for, all zeros. It attaches any handle, unless
-    `server.refuse_open` is set: then it refuses every OPEN with
-    STATUS_INVALID. It counts connections, and the ones the client closed."""
+    """A stub daemon that keeps the bytes written to it in `server.store`,
+    at their local offsets, and reads them back (zeros past its end).
+
+    It attaches any handle, unless `server.refuse_open` is set: then it
+    refuses every OPEN with STATUS_INVALID. Its first `server.faults` reads
+    (all, when None) answer with the error status `server.fail_status` if
+    set, else with `server.skew` bytes more (or fewer) than asked for. With
+    `server.barrier` set, each read waits on it before replying, and a
+    broken barrier answers STATUS_INTERNAL. With `server.linger` set, each
+    data request is held that many seconds and counted in
+    `server.overlaps` if another request followed it on its connection
+    before the reply. It counts connections, the ones the client closed,
+    and data requests."""
 
     def handle(self):
-        self.server.connections += 1
+        server, sock = self.server, self.request
+        server.connections += 1
         try:
-            while (request := wire.recv_request(self.request)) is not None:
-                header = request[0]
-                if header.opcode == wire.OPEN and self.server.refuse_open:
-                    wire.send_response(self.request, header.request_id,
-                                       wire.STATUS_INVALID, b"refused")
-                    continue
-                n = 0
-                if header.opcode in (wire.READ, wire.READ_LIST):
-                    n = header.length + self.server.skew
-                wire.send_response(self.request, header.request_id,
-                                   wire.STATUS_OK, bytes(n))
-            self.server.hangups += 1
+            while (request := wire.recv_request(sock)) is not None:
+                header, regions, data = request
+                status, reply = self.serve(server, header, regions, data)
+                wire.send_response(sock, header.request_id, status, reply)
+            server.hangups += 1
         except (OSError, ProtocolError):
             pass  # the client hung up mid-reply
+
+    def serve(self, server, header, regions, data):
+        op = header.opcode
+        if op == wire.OPEN:
+            if server.refuse_open:
+                return wire.STATUS_INVALID, b"refused"
+            return wire.STATUS_OK, b""
+        server.requests += 1
+        if server.linger:
+            time.sleep(server.linger)
+            try:
+                if self.request.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT):
+                    server.overlaps += 1
+            except BlockingIOError:
+                pass
+        store = server.store
+        if op == wire.STAT:
+            return wire.STATUS_OK, wire.pack_u64(len(store))
+        spans = regions if regions is not None else [(header.offset,
+                                                      header.length)]
+        if op not in wire.READ_OPCODES:
+            pos = 0
+            for offset, n in spans:
+                if len(store) < offset + n:
+                    store.extend(bytes(offset + n - len(store)))
+                store[offset : offset + n] = data[pos : pos + n]
+                pos += n
+            return wire.STATUS_OK, b""
+        reply = b"".join(bytes(store[offset : offset + n]).ljust(n, b"\0")
+                         for offset, n in spans)
+        if server.barrier is not None:
+            try:
+                server.barrier.wait()
+            except threading.BrokenBarrierError:
+                return wire.STATUS_INTERNAL, b"not every stub got a read"
+        if server.faults is not None:
+            if not server.faults:
+                return wire.STATUS_OK, reply
+            server.faults -= 1
+        if server.fail_status is not None:
+            return server.fail_status, b"injected"
+        return wire.STATUS_OK, (reply + bytes(max(server.skew, 0)))[
+            : len(reply) + server.skew]
 
 
 class _NoManager:
@@ -349,29 +398,50 @@ class _NoManager:
 
 
 @contextlib.contextmanager
+def _stub_cluster(*stubs, pcount=None):
+    """Serve each dict of server attributes as a _StubDaemon, and open a
+    session on a file striped 16 bytes at a time over `pcount` slots (one
+    per stub by default), slot k served by stub k % len(stubs); yields
+    (servers, session)."""
+    servers, threads = [], []
+    try:
+        for attrs in stubs:
+            server = socketserver.ThreadingTCPServer(("127.0.0.1", 0),
+                                                     _StubDaemon)
+            server.daemon_threads = True
+            vars(server).update(
+                dict(skew=0, refuse_open=False, faults=None, fail_status=None,
+                     barrier=None, linger=0, store=bytearray(), connections=0,
+                     hangups=0, requests=0, overlaps=0), **attrs)
+            thread = threading.Thread(target=server.serve_forever,
+                                      args=(0.05,), daemon=True)
+            thread.start()
+            servers.append(server)
+            threads.append(thread)
+        roster = ["%s:%d" % server.server_address for server in servers]
+        pcount = pcount or len(servers)
+        session = FileSession(_NoManager(), "stub", 1,
+                              StripingParams(0, pcount, 16), 0,
+                              [roster[k % len(roster)] for k in range(pcount)])
+        try:
+            yield servers, session
+        finally:
+            session.close()
+    finally:
+        for server, thread in zip(servers, threads):
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+@contextlib.contextmanager
 def _stub_session(skew=0, refuse_open=False):
     """A session on a two-daemon file whose daemons are one _StubDaemon;
     yields (stub server, session)."""
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _StubDaemon)
-    server.daemon_threads = True
-    server.skew = skew
-    server.refuse_open = refuse_open
-    server.connections = 0
-    server.hangups = 0
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
-                              daemon=True)
-    thread.start()
-    addr = "%s:%d" % server.server_address
-    session = FileSession(_NoManager(), "stub", 1, StripingParams(0, 2, 16),
-                          0, [addr, addr])
-    try:
-        yield server, session
-    finally:
-        session.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
+    with _stub_cluster(dict(skew=skew, refuse_open=refuse_open),
+                       pcount=2) as (servers, session):
+        yield servers[0], session
 
 
 class TestShortReplies:
@@ -413,6 +483,69 @@ class TestAttach:
                 time.sleep(0.01)
             assert (server.connections, server.hangups) == (3, 3)
             assert not session._daemons
+
+
+class TestFanOut:
+    """One logical request goes to all its daemons before any reply is read."""
+
+    def test_every_daemon_has_the_request_before_any_replies(self):
+        # Each stub holds its read reply until all four hold a read; a
+        # client that waits for one reply before sending the next request
+        # breaks the barrier after its timeout instead of hanging.
+        barrier = threading.Barrier(4, timeout=5)
+        with _stub_cluster(*[dict(barrier=barrier)] * 4) as (servers, session):
+            image = bytes(range(64))
+            pvfs_write(session, 0, image)
+            buf = bytearray(64)
+            pvfs_read(session, 0, buf)
+            assert buf == image
+            assert [server.requests for server in servers] == [2] * 4
+            assert session.metrics.server_messages == 8
+
+    @pytest.mark.parametrize("failing, short, raised", [
+        (1, 2, NotFoundError),   # the error status comes first in slot order
+        (2, 1, ProtocolError),   # the short reply comes first
+    ])
+    def test_a_failed_request_leaves_no_reply_behind(self, failing, short,
+                                                     raised):
+        stubs = [dict() for _ in range(4)]
+        stubs[failing].update(faults=1, fail_status=wire.STATUS_NOT_FOUND)
+        stubs[short].update(faults=1, skew=-1)
+        with _stub_cluster(*stubs) as (servers, session):
+            image = bytes(range(100, 164))
+            pvfs_write(session, 0, image)
+            with pytest.raises(raised):
+                pvfs_read(session, 0, bytearray(64))
+            # The first read reached every daemon, so each fault is spent;
+            # the replies it left unread went with their connections.
+            buf = bytearray(64)
+            pvfs_read(session, 0, buf)
+            assert buf == image
+            assert servers[0].connections == 1
+            assert servers[3].connections == 2
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                gc.collect()
+            assert not [w for w in caught
+                        if issubclass(w.category, ResourceWarning)]
+
+    def test_a_slot_over_the_limit_is_served_in_waves(self):
+        # Limit 2: slot 1 holds five stripe fragments (three messages), the
+        # others four (two each), so the batch goes out in waves of 4, 4, 1.
+        # Each stub holds every request a little and counts any that a
+        # second request on the same connection overtook.
+        with _stub_cluster(*[dict(linger=0.005)] * 4) as (servers, session):
+            plan = make_plan([(0, 256), (272, 8)])
+            data = random.Random(5).randbytes(plan.total_length)
+            cfg = ListIoConfig(region_limit=2)
+            wrote = access_list(session, plan, data, "write", cfg)
+            buf = bytearray(plan.total_length)
+            read = access_list(session, plan, buf, "read", cfg)
+            assert buf == data
+            assert (wrote.logical_requests, wrote.server_messages) == (1, 9)
+            assert (read.logical_requests, read.server_messages) == (1, 9)
+            assert [server.requests for server in servers] == [4, 6, 4, 4]
+            assert [server.overlaps for server in servers] == [0] * 4
 
 
 class TestListApi:

@@ -1,5 +1,7 @@
+import random
 import socket
 import struct
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -292,3 +294,90 @@ class TestStreamFuzz:
         finally:
             writer.close()
             reader.close()
+
+
+class _RecordingSocket(socket.socket):
+    """A real socket that records the byte count each sendmsg call sent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def sendmsg(self, buffers, *args):
+        n = super().sendmsg(buffers, *args)
+        self.sent.append(n)
+        return n
+
+
+class _FakeSocket:
+    """Records each send call and its bytes; sendmsg takes at most `accept`
+    bytes, as a partial send does."""
+
+    def __init__(self, accept=None):
+        self.accept = accept
+        self.calls = []
+
+    def sendmsg(self, buffers):
+        data = b"".join(bytes(b) for b in buffers)
+        n = len(data) if self.accept is None else min(self.accept, len(data))
+        self.calls.append(("sendmsg", data[:n]))
+        return n
+
+    def sendall(self, data):
+        self.calls.append(("sendall", bytes(data)))
+
+
+WRITE_8 = wire.IoRequestHeader(wire.WRITE, request_id=3, file_handle=1,
+                               length=8)
+
+
+class TestFraming:
+    @pytest.mark.parametrize("side", ["request", "response"])
+    def test_a_multi_mib_frame_arrives_whole_after_partial_sends(self, side):
+        payload = random.Random(3).randbytes(3 << 20)
+        left, reader = socket.socketpair()
+        writer = _RecordingSocket(fileno=left.detach())
+        try:
+            writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            # With a timeout the socket is non-blocking underneath, so one
+            # sendmsg sends only what the small buffer takes.
+            writer.settimeout(60)
+            got = []
+            thread = threading.Thread(target=lambda: got.append(
+                wire.recv_request(reader) if side == "request"
+                else wire.recv_response(reader)))
+            thread.start()
+            if side == "request":
+                header = WRITE_8._replace(length=len(payload))
+                wire.send_request(writer, header, None, payload)
+                want = (header, None, payload)
+            else:
+                wire.send_response(writer, 9, wire.STATUS_OK, payload)
+                want = (9, wire.STATUS_OK, payload)
+            thread.join(60)
+            assert not thread.is_alive()
+            assert len(writer.sent) == 1 and writer.sent[0] < len(payload)
+            assert got == [want]
+        finally:
+            writer.close()
+            reader.close()
+
+    def test_a_small_write_is_one_sendmsg(self):
+        sock = _FakeSocket()
+        wire.send_request(sock, WRITE_8, None, b"abcdefgh")
+        assert sock.calls == [("sendmsg", wire.encode_request(WRITE_8)
+                               + b"abcdefgh")]
+        sock = _FakeSocket()
+        wire.send_response(sock, 3, wire.STATUS_OK, b"abcdefgh")
+        assert sock.calls == [("sendmsg", wire.encode_response(
+            3, wire.STATUS_OK, b"abcdefgh"))]
+
+    @pytest.mark.parametrize("accept", [0, 10, 63, 64, 70, 71])
+    def test_the_unsent_tail_follows_a_partial_sendmsg(self, accept):
+        frame = wire.encode_request(WRITE_8) + b"abcdefgh"
+        sock = _FakeSocket(accept)
+        wire.send_request(sock, WRITE_8, None, memoryview(b"abcdefgh"))
+        assert sock.calls[0] == ("sendmsg", frame[:accept])
+        assert [call for call, _data in sock.calls[1:]] == ["sendall"] * (
+            len(sock.calls) - 1)
+        assert b"".join(data for _call, data in sock.calls) == frame
