@@ -10,9 +10,9 @@ strategies differ only in the logical requests they hand it:
 * multiple I/O    - one contiguous READ/WRITE per transfer piece, straight
                     from the piece's memory span;
 * data sieving    - one contiguous READ per window of the plan's file
-                    extent, scattered from a scratch buffer; writes overlay
-                    the window and WRITE it back (read-modify-write under
-                    the manager's per-file token);
+                    extent, scattered from the session's scratch buffer;
+                    writes overlay the window and WRITE it back
+                    (read-modify-write under the manager's per-file token);
 * list I/O        - one READ_LIST/WRITE_LIST per batch of up to 64 file
                     regions, carried as trailing data.
 
@@ -23,6 +23,7 @@ in how much unwanted data crosses the wire, which ClientMetrics records.
 from __future__ import annotations
 
 import itertools
+import mmap
 import socket
 import time
 from bisect import bisect_right
@@ -122,6 +123,10 @@ class ClientMetrics:
 
 # Element sizes that a strided run moves with one memoryview copy.
 _ELEMENT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# Smallest average piece a read reply is received into in place. Smaller
+# pieces cost more to slice and hand to the kernel one by one than the
+# reply costs to copy out with _move.
+_PIECE_MIN = 512
 _run_pos = itemgetter(0)
 _run_offset = itemgetter(1)
 
@@ -325,11 +330,13 @@ class _Channel:
         wire.send_request(self.sock, header, regions, payload)
         return rid
 
-    def receive(self, rid: int, out: memoryview | None = None):
+    def receive(self, rid: int,
+                out: memoryview | list[memoryview] | None = None):
         """Wait for the response to request `rid`.
 
-        Returns the payload bytes, or the payload length when `out` is
-        given (the payload is received straight into it). An error status
+        Returns the payload bytes, or the payload length when `out` (a
+        view, or a list of views filled in turn) is given and the payload
+        is received straight into it. An error status
         raises its exception once the whole reply is read.
         """
         got_rid, status, result = wire.recv_response(self.sock, out=out)
@@ -366,6 +373,18 @@ class FileSession:
         self.roster = roster
         self._daemons: dict[int, _Channel] = {}
         self.metrics = ClientMetrics()
+        self._scratch: mmap.mmap | None = None
+
+    def _scratch_view(self, size: int) -> memoryview:
+        """`size` bytes of scratch for sieving windows. The session keeps
+        them for its later sieving calls and gives them back on close. They
+        are an anonymous mapping of their own: a fresh buffer per call
+        would zero its pages on every call, and where the heap placed it
+        would decide the process's peak memory."""
+        if self._scratch is None or len(self._scratch) < size:
+            self._scratch = None  # unmapped once no view of it is left
+            self._scratch = mmap.mmap(-1, size)
+        return memoryview(self._scratch)[:size]
 
     def _channel(self, slot: int) -> _Channel:
         """The channel to the daemon in `slot`, attaching the file on a new
@@ -445,6 +464,7 @@ class FileSession:
             channel.close()
         self._daemons.clear()
         self._manager.close()
+        self._scratch = None
 
     def __enter__(self):
         return self
@@ -498,22 +518,42 @@ def _waves(messages) -> list:
     return waves
 
 
+def _pieces(runs, view, total: int):
+    """Where a read message's bytes land in `view`: one slice of it, or a
+    list of slices, one per back-to-back stretch, in message order. None
+    when the stretches average under _PIECE_MIN bytes."""
+    pieces = []
+    for _pos, at, size, stride, count in runs:
+        if stride == size:
+            pieces.append(view[at : at + size * count])
+        elif size < _PIECE_MIN:
+            return None
+        else:
+            pieces += [view[a : a + size]
+                       for a in range(at, at + count * stride, stride)]
+    if len(pieces) == 1:
+        return pieces[0]
+    return pieces if len(pieces) * _PIECE_MIN <= total else None
+
+
 def _requests(wave, opcode: int, view, listed: bool, reading: bool):
     """Yield the FileSession._wave request of each message of a wave. A
-    message of one back-to-back run moves straight between socket and
-    view; any other read is received whole and any other write's payload
+    read whose bytes lie in few enough pieces of the view is received
+    straight into them; any other read is received whole. A write of one
+    back-to-back run is sent from the view; any other write's payload is
     copied out run by run, only when it is sent."""
     for slot, local, runs in wave:
         total = local.total_length
         offset, trailing = (0, local) if listed else (local[0].offset, None)
+        if reading:
+            yield (slot, opcode, offset, total, trailing, None,
+                   _pieces(runs, view, total))
+            continue
         direct = None
         if len(runs) == 1:
             _pos, at, size, stride, _count = runs[0]
             if stride == size:
                 direct = view[at : at + total]
-        if reading:
-            yield slot, opcode, offset, total, trailing, None, direct
-            continue
         if direct is None:
             direct = bytearray(total)
             _move(runs, view, 0, direct, False)
@@ -613,8 +653,8 @@ def _sieve(session: FileSession, plan: AccessPlan, buffer,
     if not len(plan.file):
         return
     view = memoryview(buffer)
-    scratch = memoryview(bytearray(min(cfg.buffer_size,
-                                       extent(plan.file).length)))
+    scratch = session._scratch_view(min(cfg.buffer_size,
+                                        extent(plan.file).length))
     for ws, we, first, last in plan.windows(cfg.buffer_size):
         window = scratch[: we - ws]
         span = ((ws, we - ws),)

@@ -22,6 +22,7 @@ HEADER_SIZE = 64
 REGION_ENTRY_SIZE = 16
 MAX_LIST_REGIONS = 64
 MAX_REQUEST_FRAME = 1500
+IOV_MAX = 1024  # buffers one recvmsg_into call may take (Linux UIO_MAXIOV)
 
 # Opcodes. CREATE/OPEN/CLOSE/TOKEN_*/REGISTER are manager operations;
 # READ/WRITE/READ_LIST/WRITE_LIST/STAT are daemon operations. OPEN doubles
@@ -278,6 +279,31 @@ def read_into_exact(sock: socket.socket, view: memoryview) -> None:
         got += r
 
 
+def read_into_pieces(sock: socket.socket, pieces, n: int) -> None:
+    """Fill the first n bytes of a list of non-empty views, in list order,
+    from the socket; one call receives into every view it reaches."""
+    views = []
+    left = n
+    for piece in pieces:
+        if left <= 0:
+            break
+        views.append(piece[:left])
+        left -= len(views[-1])
+    got = i = 0
+    while i < len(views):
+        r = sock.recvmsg_into(views[i : i + IOV_MAX])[0]
+        if r == 0:
+            raise ProtocolError(f"connection closed after {got} of {n} bytes")
+        got += r
+        while r:
+            size = len(views[i])
+            if r < size:
+                views[i] = views[i][r:]
+                break
+            r -= size
+            i += 1
+
+
 def _send_frame(sock: socket.socket, head: bytes, payload) -> None:
     """Send `head`, then `payload` if any, with one sendmsg call; only the
     unsent tail of a partial send goes out with sendall."""
@@ -326,17 +352,23 @@ def send_response(
 
 
 def recv_response(
-    sock: socket.socket, out: memoryview | None = None
+    sock: socket.socket, out: memoryview | list[memoryview] | None = None
 ) -> tuple[int, int, bytes | int]:
-    """Receive one response; payload lands in `out` when given (returns length)."""
+    """Receive one response; payload lands in `out` when given (returns
+    length). `out` is one view, or a list of views filled in turn."""
     prefix = read_exact(sock, RESPONSE_PREFIX_SIZE)
     request_id, status, payload_length = decode_response_prefix(prefix)
     if out is not None and status == STATUS_OK:
-        if payload_length > len(out):
+        pieces = isinstance(out, list)
+        room = sum(map(len, out)) if pieces else len(out)
+        if payload_length > room:
             raise ProtocolError(
-                f"response payload {payload_length} exceeds buffer {len(out)}"
+                f"response payload {payload_length} exceeds buffer {room}"
             )
-        read_into_exact(sock, out[:payload_length])
+        if pieces:
+            read_into_pieces(sock, out, payload_length)
+        else:
+            read_into_exact(sock, out[:payload_length])
         return request_id, status, payload_length
     payload = read_exact(sock, payload_length) if payload_length else b""
     return request_id, status, payload

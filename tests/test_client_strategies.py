@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listio_pfs import client as client_module
 from listio_pfs import wire
 from listio_pfs.client import (
     AccessPlan,
@@ -95,6 +96,25 @@ class TestContiguous:
             pvfs_write(session, 0, bytes(32768))
             assert session.metrics.server_messages == 2
             assert session.metrics.logical_requests == 1
+
+    @pytest.mark.parametrize("length, moved", [(16 * 16384, False),
+                                               (16 * 256 + 8, True)])
+    def test_large_pieces_are_received_in_place(self, cluster, unique_name,
+                                                monkeypatch, length, moved):
+        # 16 stripes over 8 daemons: each reply fills two pieces of the
+        # buffer. Pieces of 16 KiB are received straight into it; pieces
+        # of 256 B are received whole and moved into it.
+        sp = StripingParams(0, 8, 16384 if length > 8192 else 256)
+        data = random.Random(1).randbytes(length)
+        with prepared_file(cluster, unique_name, data, sp) as session:
+            moves = []
+            real = client_module._move
+            monkeypatch.setattr(client_module, "_move",
+                                lambda *args: moves.append(1) or real(*args))
+            out = bytearray(length)
+            assert pvfs_read(session, 0, out) == length
+            assert out == data
+            assert bool(moves) == moved
 
     def test_zero_length_is_a_noop(self, cluster, unique_name):
         with prepared_file(cluster, unique_name, b"") as session:
@@ -230,6 +250,34 @@ class TestRequestCounts:
 
 
 class TestSieving:
+    def test_calls_share_the_session_scratch_until_close(self, cluster,
+                                                         unique_name):
+        # Windows of 32 KiB, then of 64 KiB: the scratch grows once, is
+        # reused by a write, and is given back on close.
+        regions = [(i * 1024, 512) for i in range(96)]
+        plan = make_plan(regions)
+        rng = random.Random(11)
+        image = rng.randbytes(96 * 1024)
+        stream = rng.randbytes(plan.total_length)
+        wanted = b"".join(image[off : off + n] for off, n in regions)
+        session = prepared_file(cluster, unique_name, image)
+        try:
+            scratches = []
+            for window in (32768, 65536):
+                buf = bytearray(plan.total_length)
+                access_sieving_read(session, plan, buf, SievingConfig(window))
+                assert buf == wanted
+                scratches.append(session._scratch)
+                assert len(session._scratch) == window
+            access_sieving_write(session, plan, stream, SievingConfig(32768))
+            assert session._scratch is scratches[1]
+            final = reassemble_file(cluster.storage_roots, session.handle,
+                                    session.striping, len(image))
+            assert final == overlay(image, regions, stream)
+        finally:
+            session.close()
+        assert session._scratch is None
+
     def test_single_window_when_extent_fits(self, cluster, unique_name):
         plan = make_plan([(0, 100), (5000, 100)])
         with prepared_file(cluster, unique_name, bytes(5100)) as session:

@@ -381,3 +381,88 @@ class TestFraming:
         assert [call for call, _data in sock.calls[1:]] == ["sendall"] * (
             len(sock.calls) - 1)
         assert b"".join(data for _call, data in sock.calls) == frame
+
+
+class TestPieces:
+    @staticmethod
+    def _pieces(buffer, sizes, gap):
+        """Views of `buffer` of the given sizes, `gap` bytes apart."""
+        view = memoryview(buffer)
+        pieces, pos = [], 0
+        for size in sizes:
+            pieces.append(view[pos : pos + size])
+            pos += size + gap
+        return pieces
+
+    def test_a_reply_fills_more_pieces_than_one_call_takes(self):
+        # Pieces of uneven sizes, more of them than one recvmsg_into call
+        # takes, behind a small receive buffer: pieces fill over many
+        # calls, and some are split between two calls.
+        payload = random.Random(5).randbytes(3 << 20)
+        sizes = [1 + (i * 7919) % 4093 for i in range(2 * wire.IOV_MAX)]
+        assert sum(sizes[: wire.IOV_MAX]) < len(payload) <= sum(sizes)
+        buffer = bytearray(b"\xee" * (sum(sizes) + 3 * len(sizes)))
+        pieces = self._pieces(buffer, sizes, 3)
+        writer, reader = socket.socketpair()
+        try:
+            reader.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            thread = threading.Thread(target=wire.send_response,
+                                      args=(writer, 4, wire.STATUS_OK, payload))
+            thread.start()
+            assert wire.recv_response(reader, out=pieces) == (
+                4, wire.STATUS_OK, len(payload))
+            thread.join(60)
+        finally:
+            writer.close()
+            reader.close()
+        # The payload lands in the pieces in order; the rest of the pieces
+        # and the gaps between them are untouched.
+        want = bytearray(b"\xee" * len(buffer))
+        done = pos = 0
+        for size in sizes:
+            take = min(size, len(payload) - done)
+            want[pos : pos + take] = payload[done : done + take]
+            done += take
+            pos += size + 3
+        assert buffer == want
+
+    @pytest.mark.parametrize("length", [0, 5, 9, 10])
+    def test_a_reply_no_larger_than_the_pieces_fills_their_start(self, length):
+        buffer = bytearray(12)
+        pieces = self._pieces(buffer, [4, 6], 2)
+        writer, reader = socket.socketpair()
+        try:
+            wire.send_response(writer, 2, wire.STATUS_OK, b"x" * length)
+            assert wire.recv_response(reader, out=pieces) == (
+                2, wire.STATUS_OK, length)
+        finally:
+            writer.close()
+            reader.close()
+        want = bytearray(12)
+        want[: min(length, 4)] = b"x" * min(length, 4)
+        want[6 : 6 + max(0, length - 4)] = b"x" * max(0, length - 4)
+        assert buffer == want
+
+    def test_a_reply_larger_than_the_pieces_is_rejected(self):
+        pieces = self._pieces(bytearray(12), [4, 6], 2)
+        writer, reader = socket.socketpair()
+        try:
+            wire.send_response(writer, 2, wire.STATUS_OK, b"x" * 11)
+            with pytest.raises(ProtocolError):
+                wire.recv_response(reader, out=pieces)
+        finally:
+            writer.close()
+            reader.close()
+
+    def test_an_error_reply_is_returned_not_received_into_the_pieces(self):
+        buffer = bytearray(12)
+        pieces = self._pieces(buffer, [4, 6], 2)
+        writer, reader = socket.socketpair()
+        try:
+            wire.send_response(writer, 2, wire.STATUS_NOT_FOUND, b"gone")
+            assert wire.recv_response(reader, out=pieces) == (
+                2, wire.STATUS_NOT_FOUND, b"gone")
+        finally:
+            writer.close()
+            reader.close()
+        assert buffer == bytearray(12)
