@@ -77,7 +77,6 @@ class Cluster:
 def launch_cluster(
     servers: int = 8,
     storage_root: str | None = None,
-    host: str = "127.0.0.1",
     manager_port: int = 0,
 ) -> Cluster:
     """Start a manager and `servers` I/O daemons as threads in this process.
@@ -87,14 +86,14 @@ def launch_cluster(
     """
     owns = storage_root is None
     root = storage_root or tempfile.mkdtemp(prefix="listio-pfs-")
-    manager = Manager(host, manager_port)
+    manager = Manager(port=manager_port)
     manager.start()
     daemons: list[IoDaemon] = []
     roots: list[str] = []
     try:
         for i in range(servers):
             sub = os.path.join(root, f"iod{i}")
-            daemon = IoDaemon(sub, host, 0, manager_addr=manager.address)
+            daemon = IoDaemon(sub, manager_addr=manager.address)
             daemon.start()
             daemons.append(daemon)
             roots.append(sub)
@@ -124,7 +123,6 @@ class BenchConfig:
     flash_blocks: int = 80
     allow_sieving_writes: bool = False
     external_manager: str | None = None
-    storage_root: str | None = None
 
     def resolved_direction(self) -> str:
         if self.direction is not None:
@@ -361,7 +359,12 @@ def reassemble_file(storage_roots, handle: int, striping: StripingParams,
 
 def verify_write_stores(storage_roots, handle: int, striping: StripingParams,
                         image) -> tuple[bool, str | None]:
-    actual = reassemble_file(storage_roots, handle, striping, len(image))
+    return _file_verdict(
+        reassemble_file(storage_roots, handle, striping, len(image)), image)
+
+
+def _file_verdict(actual, image) -> tuple[bool, str | None]:
+    """Whether a written file matches the oracle image, and where not."""
     where = first_divergence(actual, image)
     if where is None:
         return True, None
@@ -389,7 +392,7 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
 
     own: Cluster | None = None
     if cluster is None and config.external_manager is None:
-        own = launch_cluster(config.servers, config.storage_root)
+        own = launch_cluster(config.servers)
         cluster = own
     manager_addr = config.external_manager or cluster.manager_addr
     storage_roots = cluster.storage_roots if cluster is not None else None
@@ -479,13 +482,7 @@ def _verify_write_readback(manager_addr: str, name: str, image) -> tuple[bool, s
             pvfs_read(session, off, view[off : off + slab])
     finally:
         session.close()
-    where = first_divergence(actual, image)
-    if where is None:
-        return True, None
-    return False, (
-        f"file diverges at offset {where}: expected {image[where]:#04x}, "
-        f"got {actual[where]:#04x}"
-    )
+    return _file_verdict(actual, image)
 
 
 def report_rows(report: BenchReport) -> list[str]:

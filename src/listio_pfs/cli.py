@@ -8,6 +8,7 @@ import threading
 
 from . import workloads
 from .errors import PfsError
+from .regions import RegionList, batch_regions, count_transfer_pieces
 from .server import IoDaemon, Manager, parse_addr
 
 
@@ -57,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use a running manager instead of launching one")
 
     sub.add_parser("verify-counts",
-                   help="print the analytic request-count table and exit")
+                   help="check the analytic request counts against the planner")
     return parser
 
 
@@ -120,26 +121,26 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify_counts() -> int:
+    """Print the analytic counts; exit 1 if the planner disagrees with one."""
     flash = workloads.FlashSpec(procs=1, proc_id=0)
-    fc = workloads.flash_counts(flash)
-    print("workload=flash blocks=80 interior=8x8x8 vars=24 element=8B")
-    print(f"  file_regions/client      = {fc['file_regions']}")
-    print(f"  region_bytes             = {fc['region_bytes']}")
-    print(f"  multiple_requests/client = {fc['multiple_requests']}")
-    print(f"  list_requests/client     = {fc['list_requests']}")
-    print(f"  plan_bytes/client        = {fc['plan_bytes']}")
-    print("  sieving_requests/client  = 1 (extent fits one 32 MiB window, "
-          "procs <= 4)")
     tiled = workloads.TiledSpec(tile_x=0, tile_y=0)
-    tc = workloads.tiled_counts(tiled)
-    print("workload=tiled display=3x2 tile=1024x768x24bit overlap=270x128")
-    print(f"  file_regions/tile        = {tc['file_regions']}")
-    print(f"  region_bytes             = {tc['region_bytes']}")
-    print(f"  multiple_requests/tile   = {tc['multiple_requests']}")
-    print(f"  list_requests/tile       = {tc['list_requests']}")
-    print(f"  plan_bytes/tile          = {tc['plan_bytes']}")
-    print(f"  file_bytes               = {tc['file_bytes']}")
-    return 0
+    plan = workloads.gen_tiled(tiled)
+    agree = True
+    for spec, counts, mem, file in (
+        (flash, workloads.flash_counts(flash), workloads.flash_mem_regions(flash),
+         RegionList(workloads.flash_file_regions(flash))),
+        (tiled, workloads.tiled_counts(tiled), plan.mem, plan.file),
+    ):
+        planned = {"file_regions": len(file), "plan_bytes": file.total_length,
+                   "multiple_requests": count_transfer_pieces(mem, file),
+                   "list_requests": len(batch_regions(file))}
+        print(spec)
+        for key, value in counts.items():
+            got = planned.get(key, value)
+            agree = agree and got == value
+            print(f"  {key:<17} = {value}"
+                  + ("" if got == value else f"  but the planner gives {got}"))
+    return 0 if agree else 1
 
 
 def main(argv=None) -> int:

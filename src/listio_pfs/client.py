@@ -28,18 +28,15 @@ import socket
 import time
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
 from . import wire
 from .errors import (
-    ExistsError,
-    NotFoundError,
     PfsError,
     PlanError,
     ProtocolError,
-    TokenError,
 )
 # server_spans and stripe_chunks are not called here. They stay importable from
 # here because the benchmark's layer trace (perfbench/layers.py) times the
@@ -109,16 +106,6 @@ class ClientMetrics:
         self.wire_bytes_written += other.wire_bytes_written
         self.useful_bytes += other.useful_bytes
         self.elapsed += other.elapsed
-
-    def minus(self, earlier: "ClientMetrics") -> "ClientMetrics":
-        return ClientMetrics(
-            self.logical_requests - earlier.logical_requests,
-            self.server_messages - earlier.server_messages,
-            self.wire_bytes_read - earlier.wire_bytes_read,
-            self.wire_bytes_written - earlier.wire_bytes_written,
-            self.useful_bytes - earlier.useful_bytes,
-            self.elapsed - earlier.elapsed,
-        )
 
 
 # Element sizes that a strided run moves with one memoryview copy.
@@ -294,26 +281,10 @@ def _plan_bytes(plan: AccessPlan, view, pos: int, length: int, reading: bool):
         yield memoryview(plan.gather(view, pos, length))
 
 
-def _raise_for_status(status: int, detail: bytes) -> None:
-    message = detail.decode("utf-8", "replace")
-    if status == wire.STATUS_EXISTS:
-        raise ExistsError(message)
-    if status == wire.STATUS_NOT_FOUND:
-        raise NotFoundError(message)
-    if status == wire.STATUS_PROTOCOL:
-        raise ProtocolError(message)
-    if status == wire.STATUS_TOKEN:
-        raise TokenError(message)
-    if status == wire.STATUS_INVALID:
-        raise ValueError(message)
-    raise PfsError(f"server error {status}: {message}")
-
-
 class _Channel:
     """One request/response connection to a manager or daemon."""
 
     def __init__(self, addr: str):
-        self.addr = addr
         self.sock = socket.create_connection(parse_addr(addr))
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rid = itertools.count(1)
@@ -345,13 +316,12 @@ class _Channel:
                 f"response id {got_rid} does not match request id {rid}"
             )
         if status != wire.STATUS_OK:
-            detail = result if isinstance(result, bytes) else b""
-            _raise_for_status(status, detail)
+            wire.raise_for_status(status, result)
         return result
 
-    def request(self, opcode: int, *, out: memoryview | None = None, **fields):
+    def request(self, opcode: int, **fields):
         """Send one request and wait for its response."""
-        return self.receive(self.send(opcode, **fields), out)
+        return self.receive(self.send(opcode, **fields))
 
     def close(self) -> None:
         try:
@@ -591,14 +561,19 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
 
 
 def _accounted(session: FileSession, useful_bytes: int, body, *args) -> ClientMetrics:
-    """Run one API call's body, crediting its useful bytes and elapsed time
-    to the session; returns the call's own metrics."""
-    before = replace(session.metrics)
+    """Run one API call's body on fresh metrics, which it returns and adds to
+    the session's even on failure; only success credits useful bytes and time."""
+    total, call = session.metrics, ClientMetrics()
+    session.metrics = call
     t0 = time.perf_counter()
-    body(*args)
-    session.metrics.useful_bytes += useful_bytes
-    session.metrics.elapsed += time.perf_counter() - t0
-    return session.metrics.minus(before)
+    try:
+        body(*args)
+        call.useful_bytes += useful_bytes
+        call.elapsed += time.perf_counter() - t0
+    finally:
+        session.metrics = total
+        total.add(call)
+    return call
 
 
 def _direction_opcode(direction: str, read_op: int, write_op: int) -> int:

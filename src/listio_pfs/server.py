@@ -22,7 +22,6 @@ from . import wire
 from .errors import (
     ExistsError,
     NotFoundError,
-    PfsError,
     ProtocolError,
     TokenError,
 )
@@ -38,32 +37,11 @@ class FileMetadata:
     roster: list[str] = field(default_factory=list)
 
 
-def format_addr(host: str, port: int) -> str:
-    return f"{host}:{port}"
-
-
 def parse_addr(addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"bad address {addr!r}, expected HOST:PORT")
     return host, int(port)
-
-
-_STATUS_FOR_ERROR = [
-    (ExistsError, wire.STATUS_EXISTS),
-    (NotFoundError, wire.STATUS_NOT_FOUND),
-    (TokenError, wire.STATUS_TOKEN),
-    (ProtocolError, wire.STATUS_PROTOCOL),
-    (ValueError, wire.STATUS_INVALID),
-    (PfsError, wire.STATUS_INVALID),
-]
-
-
-def _status_for(exc: Exception) -> int:
-    for cls, status in _STATUS_FOR_ERROR:
-        if isinstance(exc, cls):
-            return status
-    return wire.STATUS_INTERNAL
 
 
 class _Endpoint:
@@ -89,7 +67,7 @@ class _Endpoint:
                                                payload)
                         except Exception as exc:  # per-request failure
                             wire.send_response(sock, header.request_id,
-                                               _status_for(exc),
+                                               wire.status_for(exc),
                                                str(exc).encode("utf-8"))
                             if isinstance(exc, ProtocolError):
                                 return  # stream may be desynchronized
@@ -108,7 +86,7 @@ class _Endpoint:
     @property
     def address(self) -> str:
         host, port = self._server.server_address[:2]
-        return format_addr(host, port)
+        return f"{host}:{port}"
 
     def start(self) -> None:
         self._thread = threading.Thread(
@@ -349,7 +327,11 @@ class IoDaemon(_Endpoint):
     def start(self) -> None:
         super().start()
         if self.manager_addr is not None:
-            self.slot = self._register()
+            try:
+                self.slot = self._register()
+            except BaseException:
+                self.stop()
+                raise
 
     def stop(self) -> None:
         super().stop()
@@ -365,10 +347,8 @@ class IoDaemon(_Endpoint):
             )
             _rid, status, payload = wire.recv_response(sock)
             if status != wire.STATUS_OK:
-                raise PfsError(
-                    f"registration with {self.manager_addr} failed: "
-                    f"{payload.decode('utf-8', 'replace')}"
-                )
+                detail = f"registration with {self.manager_addr} failed: "
+                wire.raise_for_status(status, detail.encode("utf-8") + payload)
             return wire.unpack_u32(payload)
 
     # -- storage operations (single-request atomicity per handle) ---------

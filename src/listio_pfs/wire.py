@@ -12,7 +12,7 @@ import socket
 import struct
 from typing import NamedTuple
 
-from .errors import ProtocolError
+from .errors import ExistsError, NotFoundError, PfsError, ProtocolError, TokenError
 from .regions import RegionList, StripingParams
 
 MAGIC = 0x50564C31
@@ -68,6 +68,17 @@ STATUS_PROTOCOL = 3
 STATUS_INVALID = 4
 STATUS_TOKEN = 5
 STATUS_INTERNAL = 6
+
+# Error classes in the order a server matches them, with the status each
+# answers; a client raises the first class of a status, PfsError if none.
+ERROR_STATUS = (
+    (ExistsError, STATUS_EXISTS),
+    (NotFoundError, STATUS_NOT_FOUND),
+    (TokenError, STATUS_TOKEN),
+    (ProtocolError, STATUS_PROTOCOL),
+    (ValueError, STATUS_INVALID),
+    (PfsError, STATUS_INVALID),
+)
 
 _HEADER = struct.Struct("<IHHQQQQII16x")
 _REGION = struct.Struct("<QQ")
@@ -233,6 +244,23 @@ def decode_metadata_payload(data) -> tuple[int, StripingParams, int, list[str]]:
     return handle, StripingParams(base, pcount, ssize), size, roster
 
 
+def status_for(exc: Exception) -> int:
+    """The status a server answers a failed request with."""
+    for cls, status in ERROR_STATUS:
+        if isinstance(exc, cls):
+            return status
+    return STATUS_INTERNAL
+
+
+def raise_for_status(status: int, detail: bytes) -> None:
+    """Raise the exception an error status and its diagnostic stand for."""
+    message = detail.decode("utf-8", "replace")
+    for cls, code in ERROR_STATUS:
+        if code == status:
+            raise cls(message)
+    raise PfsError(f"server error {status}: {message}")
+
+
 def pack_u64(value: int) -> bytes:
     return _U64.pack(value)
 
@@ -252,7 +280,8 @@ def unpack_u32(data) -> int:
 # -- socket framing -----------------------------------------------------
 
 def read_exact(sock: socket.socket, n: int, allow_eof: bool = False) -> bytes | None:
-    """Read exactly n bytes; None on clean EOF when allow_eof is set."""
+    """Read exactly n bytes, 1 MiB at most per recv so that a length a peer
+    declares is never allocated up front; None on clean EOF if allow_eof."""
     if n == 0:
         return b""
     chunks = []
@@ -266,17 +295,6 @@ def read_exact(sock: socket.socket, n: int, allow_eof: bool = False) -> bytes | 
         chunks.append(chunk)
         got += len(chunk)
     return chunks[0] if len(chunks) == 1 else b"".join(chunks)
-
-
-def read_into_exact(sock: socket.socket, view: memoryview) -> None:
-    """Fill the whole view from the socket."""
-    got = 0
-    n = len(view)
-    while got < n:
-        r = sock.recv_into(view[got:])
-        if r == 0:
-            raise ProtocolError(f"connection closed after {got} of {n} bytes")
-        got += r
 
 
 def read_into_pieces(sock: socket.socket, pieces, n: int) -> None:
@@ -354,21 +372,19 @@ def send_response(
 def recv_response(
     sock: socket.socket, out: memoryview | list[memoryview] | None = None
 ) -> tuple[int, int, bytes | int]:
-    """Receive one response; payload lands in `out` when given (returns
+    """Receive one response; an ok payload lands in `out` when given (returns
     length). `out` is one view, or a list of views filled in turn."""
     prefix = read_exact(sock, RESPONSE_PREFIX_SIZE)
     request_id, status, payload_length = decode_response_prefix(prefix)
     if out is not None and status == STATUS_OK:
-        pieces = isinstance(out, list)
-        room = sum(map(len, out)) if pieces else len(out)
+        if not isinstance(out, list):
+            out = [out]
+        room = sum(map(len, out))
         if payload_length > room:
             raise ProtocolError(
                 f"response payload {payload_length} exceeds buffer {room}"
             )
-        if pieces:
-            read_into_pieces(sock, out, payload_length)
-        else:
-            read_into_exact(sock, out[:payload_length])
+        read_into_pieces(sock, out, payload_length)
         return request_id, status, payload_length
     payload = read_exact(sock, payload_length) if payload_length else b""
     return request_id, status, payload

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from listio_pfs import bench, cli
+from listio_pfs import bench, cli, workloads
 from listio_pfs.bench import (
     BenchConfig,
     CSV_COLUMNS,
@@ -197,6 +197,16 @@ class TestCli:
         assert "= 30" in out
         assert "= 12" in out
         assert "10695168" in out
+
+    def test_verify_counts_fails_when_the_planner_disagrees(self, monkeypatch,
+                                                           capsys):
+        flash_counts = workloads.flash_counts
+        monkeypatch.setattr(workloads, "flash_counts", lambda spec: dict(
+            flash_counts(spec), list_requests=31))
+        assert cli.main(["verify-counts"]) == 1
+        out = capsys.readouterr().out
+        assert "list_requests     = 31  but the planner gives 30" in out
+        assert "list_requests     = 12\n" in out  # tiled still agrees
 
     def test_importing_cli_leaves_the_harness_unloaded(self):
         # Every `serve` process imports cli; only `bench` needs the harness.

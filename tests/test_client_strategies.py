@@ -649,6 +649,28 @@ class TestMetrics:
             m = access_sieving_read(session, plan, bytearray(200))
             assert m.useful_bytes == plan.total_length == 200
 
+    def test_a_failed_call_keeps_its_partial_counts(self):
+        # Two pieces, on slots 0 and 1; slot 1's first read fails, so the
+        # call fails after its first piece is read.
+        stubs = [dict(), dict(faults=1, fail_status=wire.STATUS_NOT_FOUND)]
+        plan = make_plan([(0, 8), (16, 8)])
+        with _stub_cluster(*stubs) as (_servers, session):
+            pvfs_write(session, 0, bytes(range(32)))
+            written = session.metrics.elapsed
+            with pytest.raises(NotFoundError):
+                access_multiple(session, plan, bytearray(16), "read")
+            m = session.metrics
+            assert (m.logical_requests, m.server_messages) == (1 + 2, 2 + 1)
+            assert (m.wire_bytes_read, m.useful_bytes) == (8, 32)
+            assert m.elapsed == written
+            buf = bytearray(16)
+            again = access_multiple(session, plan, buf, "read")
+            assert buf == bytes(range(8)) + bytes(range(16, 24))
+            assert (again.logical_requests, again.server_messages,
+                    again.wire_bytes_read, again.useful_bytes) == (2, 2, 16, 16)
+            assert 0 < again.elapsed < session.metrics.elapsed
+            assert (m.logical_requests, m.useful_bytes) == (5, 48)
+
 
 class TestPlanValidation:
     def test_total_mismatch(self):

@@ -1,4 +1,5 @@
 import random
+import socket
 import threading
 import time
 
@@ -357,6 +358,16 @@ class TestLifecycle:
                 d.stop()
         finally:
             m.stop()
+
+    def test_failed_registration_stops_the_daemon(self, daemon, tmp_path):
+        # An I/O daemon refuses REGISTER, so registering with one fails; the
+        # daemon that tried must stop listening, not serve unregistered.
+        d = IoDaemon(str(tmp_path / "iod"), manager_addr=daemon.address)
+        addr = parse_addr(d.address)
+        with pytest.raises(ProtocolError, match="registration with"):
+            d.start()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(addr, timeout=2).close()
 
     def test_restart_never_resurrects_old_data(self, tmp_path):
         root = str(tmp_path / "iod")

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listio_pfs import wire
-from listio_pfs.errors import ProtocolError
+from listio_pfs.errors import (
+    ExistsError,
+    NotFoundError,
+    PfsError,
+    PlanError,
+    ProtocolError,
+    TokenError,
+)
 from listio_pfs.regions import RegionList
 
 u64 = st.integers(0, 2**63)
@@ -103,6 +110,27 @@ class TestResponses:
         raw = wire.encode_response(7, wire.STATUS_OK, b"abcd")
         with pytest.raises(ProtocolError):
             wire.decode_response(raw[:-1])
+
+    @pytest.mark.parametrize("error, status, raised", [
+        (ExistsError, 1, ExistsError),
+        (NotFoundError, 2, NotFoundError),
+        (ProtocolError, 3, ProtocolError),
+        (ValueError, 4, ValueError),
+        (PlanError, 4, ValueError),   # any other PfsError: invalid argument
+        (TokenError, 5, TokenError),
+        (RuntimeError, 6, PfsError),  # anything else: internal error
+        (None, 99, PfsError),         # a status no server sends
+    ])
+    def test_status_table(self, error, status, raised):
+        # A server answers an error with its status; a client raises the
+        # first class listed for that status, or PfsError for one not listed.
+        if error is not None:
+            assert wire.status_for(error("why")) == status
+        with pytest.raises(raised) as caught:
+            wire.raise_for_status(status, b"why")
+        assert type(caught.value) is raised
+        assert str(caught.value) == (f"server error {status}: why"
+                                     if raised is PfsError else "why")
 
 
 class TestRejection:
