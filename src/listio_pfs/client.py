@@ -238,13 +238,13 @@ class AccessPlan:
         """Copy plan bytes [pos, pos+len(data)) into the memory regions."""
         _move(self.mem_runs, buffer, pos, data, True)
 
-    def gather(self, buffer, pos: int, length: int) -> bytes:
+    def gather(self, buffer, pos: int, length: int) -> bytearray:
         """Collect plan bytes [pos, pos+length) from the memory regions."""
         # One output buffer, not one bytes object per region: a batch of
         # single-element regions would otherwise hold thousands at once.
         out = bytearray(length)
         _move(self.mem_runs, buffer, pos, out, False)
-        return bytes(out)
+        return out
 
     def windows(self, size: int):
         """Yield (ws, we, first, last) for each window [ws, we) that tiles
@@ -334,12 +334,11 @@ class FileSession:
     """A client's handle on one open file; not shared between threads."""
 
     def __init__(self, manager: _Channel, name: str, handle: int,
-                 striping: StripingParams, size: int, roster: list[str]):
+                 striping: StripingParams, roster: list[str]):
         self._manager = manager
         self.name = name
         self.handle = handle
         self.striping = striping
-        self.open_size = size
         self.roster = roster
         self._daemons: dict[int, _Channel] = {}
         self.metrics = ClientMetrics()
@@ -450,11 +449,11 @@ def _open_session(manager_addr: str, name: str, opcode: int,
     channel = _Channel(manager_addr)
     try:
         raw = channel.request(opcode, length=len(payload), payload=payload)
-        handle, sp, size, roster = wire.decode_metadata_payload(raw)
+        handle, sp, _size, roster = wire.decode_metadata_payload(raw)
     except BaseException:
         channel.close()
         raise
-    return FileSession(channel, name, handle, sp, size, roster)
+    return FileSession(channel, name, handle, sp, roster)
 
 
 def pvfs_create(

@@ -9,6 +9,9 @@ offsets and lengths are byte counts that must fit in 64 bits.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import repeat
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PlanError
@@ -53,6 +56,20 @@ class TransferPiece(NamedTuple):
     length: int
 
 
+def _checked_total(offsets: Sequence[int], lengths: Sequence[int]) -> int:
+    """Byte total of the regions (offsets[i], lengths[i]); PlanError naming
+    the first one that is empty or leaves the 64-bit byte space. Whole
+    columns are checked at once; only a failure walks them one by one."""
+    if lengths and (min(lengths) <= 0 or min(offsets) < 0
+                    or max(map(add, offsets, lengths)) > U64_MAX):
+        for r in map(Region, offsets, lengths):
+            if r.length <= 0:
+                raise PlanError(f"region {r!r} has non-positive length")
+            if r.offset < 0 or r.end > U64_MAX:
+                raise PlanError(f"region {r!r} outside the 64-bit byte space")
+    return sum(lengths)
+
+
 class RegionList:
     """Immutable sequence of nonempty regions with a cached byte total."""
 
@@ -62,15 +79,20 @@ class RegionList:
         regs = tuple(
             r if type(r) is Region else Region(r[0], r[1]) for r in regions
         )
-        total = 0
-        for r in regs:
-            if r.length <= 0:
-                raise PlanError(f"region {r!r} has non-positive length")
-            if r.offset < 0 or r.offset + r.length > U64_MAX:
-                raise PlanError(f"region {r!r} outside the 64-bit byte space")
-            total += r.length
+        self.total_length = _checked_total([r[0] for r in regs],
+                                           [r[1] for r in regs])
         self._regions = regs
-        self.total_length = total
+
+    @classmethod
+    def from_columns(cls, offsets: Sequence[int],
+                     lengths: Sequence[int]) -> "RegionList":
+        """The regions (offsets[i], lengths[i]), checked as the constructor
+        checks its regions."""
+        total = _checked_total(offsets, lengths)
+        # tuple.__new__ builds each Region without namedtuple's Python __new__.
+        return cls._wrap(
+            tuple(map(tuple.__new__, repeat(Region), zip(offsets, lengths))),
+            total)
 
     @classmethod
     def _wrap(cls, regions: tuple[Region, ...], total: int | None = None) -> "RegionList":
@@ -203,24 +225,34 @@ def split_by_server(
     sorted by local offset, at most `limit` per message; servers come in
     slot order.
     """
-    by_slot: dict[int, list[tuple[int, int, int]]] = {}
+    ssize, pcount, base = sp.ssize, sp.pcount, sp.base
+    # slot -> its fragments' local regions, and (request position, length)
+    # of each
+    by_slot: dict[int, tuple[list[Region], list[tuple[int, int]]]] = (
+        defaultdict(lambda: ([], [])))
     pos = 0
     for offset, length in file_regions:
-        for slot, local, file_offset, take in stripe_chunks(offset, length, sp):
-            by_slot.setdefault(slot, []).append(
-                (local, take, pos + file_offset - offset)
-            )
+        k, within = divmod(offset, ssize)
+        if within + length <= ssize:  # inside one stripe: one fragment
+            fragments = by_slot[(base + k) % pcount]
+            # tuple.__new__ skips namedtuple's Python-level __new__.
+            fragments[0].append(
+                tuple.__new__(Region, (k // pcount * ssize + within, length)))
+            fragments[1].append((pos, length))
+        else:
+            for slot, local, file_offset, take in stripe_chunks(offset, length, sp):
+                fragments = by_slot[slot]
+                fragments[0].append(Region(local, take))
+                fragments[1].append((pos + file_offset - offset, take))
         pos += length
     messages = []
     for slot in sorted(by_slot):
-        fragments = by_slot[slot]
-        for i in range(0, len(fragments), limit):
-            chunk = fragments[i : i + limit]
+        local, spans = by_slot[slot]
+        for i in range(0, len(local), limit):
             messages.append(Message(
                 slot,
-                RegionList._wrap(tuple(Region(local, take)
-                                       for local, take, _pos in chunk)),
-                strided_runs((p, take) for _local, take, p in chunk),
+                RegionList._wrap(tuple(local[i : i + limit])),
+                strided_runs(spans[i : i + limit]),
             ))
     return messages
 

@@ -10,9 +10,17 @@ from __future__ import annotations
 
 import socket
 import struct
+from itertools import chain
 from typing import NamedTuple
 
-from .errors import ExistsError, NotFoundError, PfsError, ProtocolError, TokenError
+from .errors import (
+    ExistsError,
+    NotFoundError,
+    PfsError,
+    PlanError,
+    ProtocolError,
+    TokenError,
+)
 from .regions import RegionList, StripingParams
 
 MAGIC = 0x50564C31
@@ -81,7 +89,10 @@ ERROR_STATUS = (
 )
 
 _HEADER = struct.Struct("<IHHQQQQII16x")
-_REGION = struct.Struct("<QQ")
+# The region table of a list request of n regions, packed in one call:
+# offset and length of each region in turn.
+_REGION_TABLE = tuple(struct.Struct(f"<{2 * n}Q")
+                      for n in range(MAX_LIST_REGIONS + 1))
 _RESPONSE = struct.Struct("<QIQ")
 _CREATE_FIXED = struct.Struct("<IIQ")
 _META_FIXED = struct.Struct("<QIIQQI")
@@ -134,7 +145,7 @@ def encode_request(header: IoRequestHeader, trailing: RegionList | None = None) 
     )
     if not count:
         return head
-    return head + b"".join(_REGION.pack(r.offset, r.length) for r in trailing)
+    return head + _REGION_TABLE[count].pack(*chain.from_iterable(trailing))
 
 
 def decode_header(data) -> IoRequestHeader:
@@ -171,10 +182,10 @@ def decode_request(data) -> tuple[IoRequestHeader, RegionList | None]:
         raise ProtocolError(
             f"truncated trailing regions: need {need} bytes, have {len(data)}"
         )
-    entries = _REGION.iter_unpack(memoryview(data)[HEADER_SIZE:need])
+    table = _REGION_TABLE[header.region_count].unpack_from(data, HEADER_SIZE)
     try:
-        trailing = RegionList(entries)
-    except Exception as exc:
+        trailing = RegionList.from_columns(table[0::2], table[1::2])
+    except PlanError as exc:
         raise ProtocolError(f"invalid trailing region: {exc}") from exc
     if header.length != trailing.total_length:
         raise ProtocolError(

@@ -2,10 +2,22 @@
 
 Nothing in here may share logic with the package's arithmetic: layouts are
 built by dealing stripes one at a time, geometry by iterating 2-D indices,
-window counts by enumerating every window against every region.
+window counts by enumerating every window against every region. The one
+exception is split_by_server_reference, the fan-out's earlier body, kept
+to pin its rewrite: it cuts every region with the package's stripe_chunks,
+which is checked against deal_layout on its own.
 """
 
 from __future__ import annotations
+
+from listio_pfs.regions import (
+    DEFAULT_REGION_LIMIT,
+    Message,
+    Region,
+    RegionList,
+    stripe_chunks,
+    strided_runs,
+)
 
 
 def deal_layout(base: int, pcount: int, ssize: int, nbytes: int):
@@ -210,3 +222,28 @@ def random_mem_regions(rng, total, max_regions=500):
         regions.append((pos, size))
         pos += size + rng.randrange(0, 64)
     return regions, pos
+
+
+def split_by_server_reference(file_regions, sp, limit=DEFAULT_REGION_LIMIT):
+    """regions.split_by_server as it was before its one-stripe fast path:
+    every region goes through stripe_chunks."""
+    by_slot = {}
+    pos = 0
+    for offset, length in file_regions:
+        for slot, local, file_offset, take in stripe_chunks(offset, length, sp):
+            by_slot.setdefault(slot, []).append(
+                (local, take, pos + file_offset - offset)
+            )
+        pos += length
+    messages = []
+    for slot in sorted(by_slot):
+        fragments = by_slot[slot]
+        for i in range(0, len(fragments), limit):
+            chunk = fragments[i : i + limit]
+            messages.append(Message(
+                slot,
+                RegionList._wrap(tuple(Region(local, take)
+                                       for local, take, _pos in chunk)),
+                strided_runs((p, take) for _local, take, p in chunk),
+            ))
+    return messages

@@ -228,7 +228,7 @@ class TestRequestCounts:
                 buf = bytearray(buflen)
                 m = access_list(session, plan, buf, "read")
                 counts.add(m.logical_requests)
-                buffers.append(plan.gather(buf, 0, total))
+                buffers.append(bytes(plan.gather(buf, 0, total)))
             assert counts == {3}  # ceil(130/64), whatever the memory shape
             assert len(set(buffers)) == 1
 
@@ -469,7 +469,7 @@ def _stub_cluster(*stubs, pcount=None):
         roster = ["%s:%d" % server.server_address for server in servers]
         pcount = pcount or len(servers)
         session = FileSession(_NoManager(), "stub", 1,
-                              StripingParams(0, pcount, 16), 0,
+                              StripingParams(0, pcount, 16),
                               [roster[k % len(roster)] for k in range(pcount)])
         try:
             yield servers, session

@@ -22,7 +22,13 @@ from listio_pfs.regions import (
 )
 from listio_pfs.workloads import FlashSpec, flash_file_regions
 
-from oracles import deal_layout, expand_runs, region_byte_set, region_bytes
+from oracles import (
+    deal_layout,
+    expand_runs,
+    region_byte_set,
+    region_bytes,
+    split_by_server_reference,
+)
 
 SP8 = StripingParams(0, 8, 16384)
 
@@ -81,6 +87,32 @@ class TestStripingReconstruction:
         assert out == payload
 
 
+class TestRegionListChecks:
+    edge = st.sampled_from([-1, 0, 1, 2**63, 2**64 - 2, 2**64 - 1])
+
+    @given(st.lists(st.tuples(st.integers(-2, 1000) | edge,
+                              st.integers(-2, 1000) | edge), max_size=8))
+    def test_columns_are_checked_as_entries_are(self, regions):
+        offsets = [o for o, _n in regions]
+        lengths = [n for _o, n in regions]
+        bad = [r for r in regions
+               if r[1] <= 0 or r[0] < 0 or r[0] + r[1] > 2**64 - 1]
+        outcomes = []
+        for build in (lambda: RegionList(regions),
+                      lambda: RegionList.from_columns(offsets, lengths)):
+            try:
+                rl = build()
+            except PlanError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((list(rl), rl.total_length))
+        assert outcomes[0] == outcomes[1]
+        if bad:
+            assert repr(Region(*bad[0])) in outcomes[0]
+        else:
+            assert outcomes[0] == (regions, sum(lengths))
+
+
 class TestSplitByServer:
     def test_single_stripe(self):
         (out,) = split_by_server(RegionList([(0, 16384)]), SP8)
@@ -130,6 +162,36 @@ class TestSplitByServer:
                     assert here == file_byte[at + j]
                     back.add(here)
         assert back == region_byte_set([(r.offset, r.length) for r in rl])
+
+
+    @given(data=st.data(), pcount=st.integers(1, 9), ssize=st.integers(1, 48),
+           limit=st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_fan_out(self, data, pcount, ssize, limit):
+        # Short regions mostly sit inside one stripe; long ones cross edges.
+        sp = StripingParams(data.draw(st.integers(0, pcount - 1)), pcount, ssize)
+        raw = data.draw(st.lists(
+            st.tuples(st.integers(0, 2 * ssize),
+                      st.integers(1, ssize) | st.integers(ssize, 4 * ssize)),
+            max_size=150))
+        regions, pos = [], data.draw(st.integers(0, 10 * ssize))
+        for gap, length in raw:
+            pos += gap
+            regions.append((pos, length))
+            pos += length
+        got = split_by_server(RegionList(regions), sp, limit)
+        want = split_by_server_reference(RegionList(regions), sp, limit)
+        assert [(m.slot, tuple(m.regions), m.runs) for m in got] == [
+            (m.slot, tuple(m.regions), m.runs) for m in want]
+
+    @pytest.mark.parametrize("batch", [
+        [(i * 1024, 512) for i in range(64)],            # cyclic-small
+        [(i * 262144, 131072) for i in range(64)],       # cyclic-large
+        [(i * 16384 + 16000, 768) for i in range(64)],   # each crosses an edge
+    ])
+    def test_benchmark_batches_match_the_reference(self, batch):
+        sp = StripingParams(1, 4, 16384)
+        assert split_by_server(batch, sp) == split_by_server_reference(batch, sp)
 
 
 class TestServerSpans:

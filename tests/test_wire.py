@@ -133,6 +133,39 @@ class TestResponses:
                                      if raised is PfsError else "why")
 
 
+def raw_list_request(entries, length):
+    """A READ_LIST frame packed field by field, entry by entry."""
+    head = struct.pack("<IHHQQQQII16x", wire.MAGIC, wire.VERSION,
+                       wire.READ_LIST, 7, 1, 0, length, len(entries), 0)
+    return head + b"".join(struct.pack("<QQ", off, n) for off, n in entries)
+
+
+class TestRegionTable:
+    def test_a_64_region_table_packs_entry_by_entry(self):
+        rng = random.Random(12)
+        entries = [(rng.randrange(2**63), rng.randrange(1, 2**32))
+                   for _ in range(wire.MAX_LIST_REGIONS)]
+        regions = RegionList(entries)
+        header = wire.IoRequestHeader(wire.READ_LIST, 7, 1, 0,
+                                      regions.total_length, len(regions))
+        raw = raw_list_request(entries, regions.total_length)
+        assert wire.encode_request(header, regions) == raw
+        assert wire.decode_request(raw) == (header, regions)
+
+    def test_a_zero_length_entry_is_rejected(self):
+        with pytest.raises(ProtocolError, match="invalid trailing region"):
+            wire.decode_request(raw_list_request([(0, 4), (8, 0)], 4))
+
+    def test_an_entry_ending_past_the_64_bit_space_is_rejected(self):
+        with pytest.raises(ProtocolError, match="invalid trailing region"):
+            wire.decode_request(raw_list_request([(0, 4), (2**64 - 4, 8)], 12))
+
+    def test_an_entry_ending_at_the_last_byte_is_accepted(self):
+        entries = [(0, 4), (2**64 - 9, 8)]
+        _header, regions = wire.decode_request(raw_list_request(entries, 12))
+        assert list(regions) == entries and regions.total_length == 12
+
+
 class TestRejection:
     def test_bad_magic(self):
         raw = bytearray(wire.encode_request(wire.IoRequestHeader(wire.READ, 1)))
@@ -337,6 +370,22 @@ class _RecordingSocket(socket.socket):
         return n
 
 
+class _CountingSocket(socket.socket):
+    """A real socket that counts its recv_into and recvmsg_into calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.receives = 0
+
+    def recv_into(self, *args):
+        self.receives += 1
+        return super().recv_into(*args)
+
+    def recvmsg_into(self, *args):
+        self.receives += 1
+        return super().recvmsg_into(*args)
+
+
 class _FakeSocket:
     """Records each send call and its bytes; sendmsg takes at most `accept`
     bytes, as a partial send does."""
@@ -453,6 +502,36 @@ class TestPieces:
             done += take
             pos += size + 3
         assert buffer == want
+
+    def test_one_view_fills_over_many_receives(self):
+        payload = random.Random(6).randbytes(1 << 20)
+        buffer = bytearray(b"\xee" * (len(payload) + 5))
+        writer, left = socket.socketpair()
+        reader = _CountingSocket(fileno=left.detach())
+        try:
+            reader.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            thread = threading.Thread(target=wire.send_response,
+                                      args=(writer, 4, wire.STATUS_OK, payload))
+            thread.start()
+            assert wire.recv_response(reader, out=memoryview(buffer)) == (
+                4, wire.STATUS_OK, len(payload))
+            thread.join(60)
+        finally:
+            writer.close()
+            reader.close()
+        assert reader.receives > 1
+        assert buffer == payload + b"\xee" * 5
+
+    def test_a_peer_closing_mid_view_is_a_protocol_error(self):
+        writer, reader = socket.socketpair()
+        try:
+            writer.sendall(wire.encode_response(3, wire.STATUS_OK, b"y" * 100)[:-60])
+            writer.close()
+            with pytest.raises(ProtocolError, match="after 40 of 100 bytes"):
+                wire.recv_response(reader, out=memoryview(bytearray(100)))
+        finally:
+            writer.close()
+            reader.close()
 
     @pytest.mark.parametrize("length", [0, 5, 9, 10])
     def test_a_reply_no_larger_than_the_pieces_fills_their_start(self, length):
