@@ -282,18 +282,22 @@ def _plan_bytes(plan: AccessPlan, view, pos: int, length: int, reading: bool):
 
 
 class _Channel:
-    """One request/response connection to a manager or daemon."""
+    """One request/response connection to a manager or daemon. `owed` is the
+    id of the last request sent until its whole reply has been read, then
+    None: a channel that owes a reply has bytes of it, or of its request,
+    unaccounted for on its stream."""
 
     def __init__(self, addr: str):
         self.sock = socket.create_connection(parse_addr(addr))
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rid = itertools.count(1)
+        self.owed: int | None = None
 
     def send(self, opcode: int, handle: int = 0, offset: int = 0,
              length: int = 0, regions: RegionList | None = None,
              payload=None) -> int:
         """Send one request; returns its request id."""
-        rid = next(self._rid)
+        rid = self.owed = next(self._rid)
         header = wire.IoRequestHeader(
             opcode, rid, handle, offset, length,
             0 if regions is None else len(regions),
@@ -315,6 +319,7 @@ class _Channel:
             raise ProtocolError(
                 f"response id {got_rid} does not match request id {rid}"
             )
+        self.owed = None  # the whole reply is read, an error's too
         if status != wire.STATUS_OK:
             wire.raise_for_status(status, result)
         return result
@@ -356,10 +361,14 @@ class FileSession:
         return memoryview(self._scratch)[:size]
 
     def _channel(self, slot: int) -> _Channel:
-        """The channel to the daemon in `slot`, attaching the file on a new
-        one first; a channel whose attach fails is closed."""
+        """The channel to the daemon in `slot`. A cached one is reused only
+        once it has read the whole reply to its last request; else it is
+        closed, so no stale reply reaches a later request, and a new one
+        attaches the file first. A channel whose attach fails is closed."""
         channel = self._daemons.get(slot)
-        if channel is None:
+        if channel is None or channel.owed is not None:
+            if channel is not None:
+                channel.close()
             channel = _Channel(self.roster[slot])
             try:
                 channel.request(wire.OPEN, handle=self.handle)  # attach
@@ -369,50 +378,12 @@ class FileSession:
             self._daemons[slot] = channel
         return channel
 
-    def _wave(self, requests):
-        """Send every request of one wave, each to a different daemon, before
-        waiting for any reply; then yield the replies in send order, each as
-        it arrives.
-
-        A request is (slot, opcode, offset, length, regions, payload, out);
-        requests are taken one at a time, so a payload need only exist
-        while it is sent. A reply is what _Channel.receive returns, and a
-        read's reply must hold `length` bytes. If anything fails, or the
-        caller stops early, every channel of the wave that has not returned
-        a good reply is closed and dropped, so no stale reply ever reaches
-        a later request.
-        """
-        unread = {}  # slot -> channel that owes a reply
-        try:
-            sent = []
-            for slot, opcode, offset, length, regions, payload, out in requests:
-                channel = unread[slot] = self._channel(slot)
-                sent.append((slot, opcode, length, out,
-                             channel.send(opcode, self.handle, offset, length,
-                                          regions, payload)))
-            for slot, opcode, length, out, rid in sent:
-                reply = unread[slot].receive(rid, out)
-                if opcode in wire.READ_OPCODES:
-                    got = reply if out is not None else len(reply)
-                    if got != length:
-                        raise ProtocolError(f"{wire.OPCODE_NAMES[opcode]} "
-                                            f"returned {got} of {length} bytes")
-                del unread[slot]
-                yield reply
-        except BaseException:
-            for slot, channel in unread.items():
-                self._daemons.pop(slot, None)  # close() may have cleared it
-                channel.close()
-            raise
-
     def stat(self) -> int:
         """Current file size: max written end across daemons, unstriped."""
-        slots = range(self.striping.pcount)
-        replies = self._wave((slot, wire.STAT, 0, 0, None, None, None)
-                             for slot in slots)
         end = 0
-        for payload, slot in zip(replies, slots):
-            local = wire.unpack_u64(payload)
+        for slot in range(self.striping.pcount):
+            local = wire.unpack_u64(
+                self._channel(slot).request(wire.STAT, handle=self.handle))
             if local:
                 back = inverse_stripe_location(slot, local - 1, self.striping)
                 end = max(end, back + 1)
@@ -505,30 +476,6 @@ def _pieces(runs, view, total: int):
     return pieces if len(pieces) * _PIECE_MIN <= total else None
 
 
-def _requests(wave, opcode: int, view, listed: bool, reading: bool):
-    """Yield the FileSession._wave request of each message of a wave. A
-    read whose bytes lie in few enough pieces of the view is received
-    straight into them; any other read is received whole. A write of one
-    back-to-back run is sent from the view; any other write's payload is
-    copied out run by run, only when it is sent."""
-    for slot, local, runs in wave:
-        total = local.total_length
-        offset, trailing = (0, local) if listed else (local[0].offset, None)
-        if reading:
-            yield (slot, opcode, offset, total, trailing, None,
-                   _pieces(runs, view, total))
-            continue
-        direct = None
-        if len(runs) == 1:
-            _pos, at, size, stride, _count = runs[0]
-            if stride == size:
-                direct = view[at : at + total]
-        if direct is None:
-            direct = bytearray(total)
-            _move(runs, view, 0, direct, False)
-        yield slot, opcode, offset, total, trailing, direct, None
-
-
 def _exchange(session: FileSession, opcode: int, file_regions, view,
               limit: int = DEFAULT_REGION_LIMIT) -> None:
     """Carry out one logical request against the daemons.
@@ -538,6 +485,13 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
     message. The messages go out in waves, each sent to all its daemons
     before any reply is awaited. This is the only code that sends data
     requests to daemons and the only code that counts them.
+
+    A read whose bytes lie in few enough pieces of the view is received
+    straight into them; any other read is received whole and moved in. A
+    write of one back-to-back run is sent from the view; any other write's
+    payload is copied out run by run just before it is sent. A failure
+    leaves each channel that did not return its whole reply owing it, and
+    FileSession._channel replaces such a channel before its next use.
     """
     if not len(view):
         return
@@ -548,14 +502,34 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
     messages = fan_out(file_regions, session.striping, limit if listed else None)
     # A contiguous request involves each daemon at most once: one wave.
     for wave in _waves(messages) if listed else (messages,):
-        replies = session._wave(_requests(wave, opcode, view, listed, reading))
-        for reply, (_slot, local, runs) in zip(replies, wave):
+        sent = []
+        for slot, local, runs in wave:
+            total = local.total_length
+            offset, trailing = (0, local) if listed else (local[0].offset, None)
+            channel = session._channel(slot)
+            out = payload = None
             if reading:
-                if not isinstance(reply, int):  # not received into the view
-                    _move(runs, view, 0, memoryview(reply), True)
-                m.wire_bytes_read += local.total_length
+                out = _pieces(runs, view, total)
+            elif len(runs) == 1 and runs[0][2] == runs[0][3]:  # size == stride
+                payload = view[runs[0][1] : runs[0][1] + total]
             else:
-                m.wire_bytes_written += local.total_length
+                payload = bytearray(total)
+                _move(runs, view, 0, payload, False)
+            rid = channel.send(opcode, session.handle, offset, total,
+                               trailing, payload)
+            sent.append((channel, rid, out, total, runs))
+        for channel, rid, out, total, runs in sent:
+            reply = channel.receive(rid, out)
+            if reading:
+                got = reply if out is not None else len(reply)
+                if got != total:
+                    raise ProtocolError(f"{wire.OPCODE_NAMES[opcode]} "
+                                        f"returned {got} of {total} bytes")
+                if out is None:
+                    _move(runs, view, 0, memoryview(reply), True)
+                m.wire_bytes_read += total
+            else:
+                m.wire_bytes_written += total
             m.server_messages += 1
 
 

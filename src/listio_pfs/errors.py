@@ -26,7 +26,8 @@ class NotFoundError(PfsError):
 
 
 class TokenError(PfsError):
-    """Write-token released by a connection that does not hold it."""
+    """Write-token misuse: a release by a connection that does not hold
+    the token, or an acquire by the one that does."""
 
 
 class BenchError(PfsError):

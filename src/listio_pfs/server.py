@@ -188,6 +188,8 @@ class Manager(_Endpoint):
             if handle not in self._by_handle:
                 raise NotFoundError(f"unknown handle {handle}")
             token = self._tokens.setdefault(handle, _Token())
+            if token.holder is owner:  # it would wait on itself for good
+                raise TokenError(f"handle {handle}: acquire by its holder")
             if token.holder is None:
                 token.holder = owner
                 return

@@ -564,18 +564,37 @@ class TestFanOut:
             pvfs_write(session, 0, image)
             with pytest.raises(raised):
                 pvfs_read(session, 0, bytearray(64))
-            # The first read reached every daemon, so each fault is spent;
-            # the replies it left unread went with their connections.
+            # The first read reached every daemon, so each fault is spent.
+            # Slots 0 and 1 returned whole replies and keep their
+            # connections; the replies left unread went with theirs.
             buf = bytearray(64)
             pvfs_read(session, 0, buf)
             assert buf == image
-            assert servers[0].connections == 1
-            assert servers[3].connections == 2
+            assert [s.connections for s in servers] == [1, 1, 2, 2]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 gc.collect()
             assert not [w for w in caught
                         if issubclass(w.category, ResourceWarning)]
+
+    def test_a_wave_cut_off_while_sending_leaves_no_reply_behind(self):
+        # Slot 2 refuses the attach, so the read fails after slots 0 and 1
+        # were sent theirs; those two owe a reply and must reconnect.
+        stubs = [dict() for _ in range(4)]
+        stubs[2].update(refuse_open=True)
+        image = bytes(range(64))
+        with _stub_cluster(*stubs) as (servers, session):
+            for k, server in enumerate(servers):  # slot k's one stripe
+                server.store = bytearray(image[16 * k : 16 * k + 16])
+            with pytest.raises(ValueError, match="refused"):
+                pvfs_read(session, 0, bytearray(64))
+            assert [s.requests for s in servers] == [1, 1, 0, 0]
+            servers[2].refuse_open = False
+            buf = bytearray(64)
+            pvfs_read(session, 0, buf)
+            assert buf == image
+            assert session.stat() == 64
+            assert [s.connections for s in servers] == [2, 2, 2, 1]
 
     def test_a_slot_over_the_limit_is_served_in_waves(self):
         # Limit 2: slot 1 holds five stripe fragments (three messages), the

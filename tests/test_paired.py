@@ -89,6 +89,37 @@ class TestReadRun:
         assert run == {"metrics": {}, "mean_steal": None, "quiet": None}
 
 
+class TestCpuProbe:
+    def test_each_run_keeps_the_probe_taken_just_before_it(self, monkeypatch,
+                                                           tmp_path):
+        readings = iter([41.5, 47.25])
+        calls = []
+        monkeypatch.setattr(paired, "cpu_probe", lambda: next(readings))
+
+        def fake_run(cmd, cwd, **kwargs):
+            calls.append(cmd)
+            report = {"correct": True,
+                      "metrics": {"list.p50_ms": {"value": 9.5}}}
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(report), "")
+
+        monkeypatch.setattr(paired.subprocess, "run", fake_run)
+        first = paired.perf_run(str(tmp_path), "cyclic-small", 7, 30)
+        second = paired.perf_run(str(tmp_path), "cyclic-small", 8, 30)
+        assert (first["cpu_probe_ms"], second["cpu_probe_ms"]) == (41.5, 47.25)
+        assert first["metrics"] == {"list.p50_ms": 9.5} and len(calls) == 2
+
+    def test_each_sides_probe_readings_are_summarised(self):
+        pairs = [{"parent": {"cpu_probe_ms": p}, "change": {"cpu_probe_ms": c}}
+                 for p, c in ((40.0, 44.0), (42.0, 41.0), (50.0, 43.0))]
+        out = paired.probe_spread(pairs)
+        assert out["parent"] == {"n": 3, "median": 42.0, "q1": 41.0,
+                                 "q3": 46.0, "iqr": 5.0}
+        assert out["change"]["median"] == 43.0 and out["change"]["n"] == 3
+
+    def test_the_probe_times_a_loop_in_milliseconds(self):
+        assert 0 < paired.cpu_probe() < 60_000
+
+
 class TestTreeIds:
     def test_an_uncommitted_src_is_named_by_the_tree_it_commits_to(self, tmp_path):
         def git(*args):

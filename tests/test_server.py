@@ -144,6 +144,25 @@ class TestTokens:
             t.join(timeout=5)
         assert grants == [f"owner-{i}" for i in range(6)]
 
+    def test_a_repeat_acquire_by_the_holder_is_refused(self, manager,
+                                                       unique_name):
+        # Queued behind itself, the holder would wait for good, and its
+        # connection, blocked in the wait, would never release the token.
+        meta = manager.create(unique_name(), StripingParams(0, 2, 64))
+        holder, other = _Channel(manager.address), _Channel(manager.address)
+        try:
+            for channel in (holder, other):
+                channel.sock.settimeout(5)
+            holder.request(wire.TOKEN_ACQUIRE, handle=meta.handle)
+            with pytest.raises(TokenError):
+                holder.request(wire.TOKEN_ACQUIRE, handle=meta.handle)
+            holder.request(wire.TOKEN_RELEASE, handle=meta.handle)
+            other.request(wire.TOKEN_ACQUIRE, handle=meta.handle)
+            other.request(wire.TOKEN_RELEASE, handle=meta.handle)
+        finally:
+            holder.close()
+            other.close()
+
     def test_disconnect_releases_token(self, manager, unique_name):
         name = unique_name()
         meta = manager.create(name, StripingParams(0, 2, 64))

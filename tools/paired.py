@@ -16,7 +16,10 @@ pair. The file it writes holds every run and, per workload and
 end-to-end metric of BENCHMARK.json, both sides' quartiles, the quartiles
 of the per-pair change/parent ratio, and how many pairs the change won.
 No pair is ever dropped: a run that failed keeps its exit status and
-counts as a pair the change did not win. Each side is named by its
+counts as a pair the change did not win. Just before each run it times
+a fixed pure-Python loop (`cpu_probe`) and keeps that reading with the
+run, with each side's quartiles per workload, so a pair taken while the
+host ran slow can be told apart. Each side is named by its
 commit and by git's ids of its `src/` and `perfbench/` trees as checked
 out, so numbers taken on an uncommitted change can be matched to the
 commit that later holds it: `git rev-parse <commit>:src`.
@@ -33,6 +36,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 RUN = ["python3", "perfbench/run.py"]
 
@@ -86,6 +90,12 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def probe_spread(pairs: list[dict]) -> dict:
+    """Each side's quartiles of the CPU-speed probe taken before its runs."""
+    return {side: _spread([p[side]["cpu_probe_ms"] for p in pairs])
+            for side in ("parent", "change")}
+
+
 def read_run(stdout: str, tree: str) -> dict:
     """Metrics, mean host steal and quiet-sample counts of one perfbench
     run, from its result line and its result.json."""
@@ -108,11 +118,24 @@ def read_run(stdout: str, tree: str) -> dict:
     return run
 
 
+def cpu_probe() -> float:
+    """Milliseconds that a fixed pure-Python loop takes on this host now:
+    a slower reading means a slower CPU (host steal, frequency drift) for
+    the run that follows it."""
+    start = time.perf_counter()
+    x = 0
+    for i in range(300_000):
+        x = (x + i * i) % 1000003
+    return (time.perf_counter() - start) * 1e3
+
+
 def perf_run(tree: str, workload: str, seed: int, seconds: int) -> dict:
     cmd = RUN + ["--workload", workload, "--seed", str(seed),
                  "--seconds", str(seconds), "--trace", "0"]
+    probe_ms = cpu_probe()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     run = read_run(proc.stdout, tree)
+    run["cpu_probe_ms"] = probe_ms
     run["exit"] = proc.returncode
     if proc.returncode:
         run["stderr_tail"] = proc.stderr[-2000:]
@@ -193,7 +216,8 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 seed += 1
             result["workloads"][workload] = {
-                "pairs": pairs, "summary": summarize(pairs, metrics)}
+                "pairs": pairs, "summary": summarize(pairs, metrics),
+                "cpu_probe_ms": probe_spread(pairs)}
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", parent],
                        cwd=change, capture_output=True)
