@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from . import workloads
 from .client import (
     ClientMetrics,
-    ListIoConfig,
-    SievingConfig,
     access_list,
     access_multiple,
     access_sieving_read,
@@ -36,7 +34,16 @@ from .errors import BenchError
 from .regions import StripingParams, inverse_stripe_location
 from .server import IoDaemon, Manager
 
-STRATEGIES = ("multiple", "sieving", "list")
+
+def _sieve(session, plan, buffer, direction: str) -> ClientMetrics:
+    """Sieving reads, or writes read-modify-write under the per-file token."""
+    if direction == "read":
+        return access_sieving_read(session, plan, buffer)
+    return access_sieving_write(session, plan, buffer)
+
+
+# Each strategy is one call (session, plan, buffer, direction).
+STRATEGIES = {"multiple": access_multiple, "sieving": _sieve, "list": access_list}
 
 CSV_COLUMNS = (
     "workload,strategy,clients,accesses,rep,logical_requests,server_messages,"
@@ -77,7 +84,6 @@ class Cluster:
 def launch_cluster(
     servers: int = 8,
     storage_root: str | None = None,
-    manager_port: int = 0,
 ) -> Cluster:
     """Start a manager and `servers` I/O daemons as threads in this process.
 
@@ -86,7 +92,7 @@ def launch_cluster(
     """
     owns = storage_root is None
     root = storage_root or tempfile.mkdtemp(prefix="listio-pfs-")
-    manager = Manager(port=manager_port)
+    manager = Manager()
     manager.start()
     daemons: list[IoDaemon] = []
     roots: list[str] = []
@@ -108,20 +114,16 @@ def launch_cluster(
 @dataclass
 class BenchConfig:
     workload: str
-    strategies: tuple[str, ...] = STRATEGIES
+    strategies: tuple[str, ...] = tuple(STRATEGIES)
     clients: int = 8
     servers: int = 8
-    ssize: int = 16384
     accesses: tuple[int, ...] | None = None
     total_bytes: int = 64 * 2**20
     direction: str | None = None  # defaults per workload (flash writes)
-    sieving_buffer: int = 32 * 2**20
-    list_limit: int = 64
     reps: int = 3
     verify: bool = True
     seed: int = 0
     flash_blocks: int = 80
-    allow_sieving_writes: bool = False
     external_manager: str | None = None
 
     def resolved_direction(self) -> str:
@@ -163,7 +165,6 @@ class CellResult:
 
 @dataclass
 class BenchReport:
-    config: BenchConfig
     cells: list[CellResult]
 
     @property
@@ -199,9 +200,6 @@ def build_specs(config: BenchConfig, accesses: int | None) -> list:
         )
     elif w == "blockblock":
         grid = math.isqrt(config.clients)
-        if grid * grid != config.clients:
-            raise BenchError(f"blockblock needs a square client count, got "
-                             f"{config.clients}")
         side = math.isqrt(config.total_bytes)
         if side * side != config.total_bytes:
             raise BenchError(f"blockblock needs a square total_bytes, got "
@@ -215,11 +213,6 @@ def build_specs(config: BenchConfig, accesses: int | None) -> list:
         )
     elif w == "tiled":
         base = workloads.TiledSpec(tile_x=0, tile_y=0)
-        if config.clients != base.client_count:
-            raise BenchError(
-                f"tiled runs use {base.client_count} clients, got "
-                f"{config.clients}"
-            )
     else:
         raise BenchError(f"unknown workload {w!r}")
     return workloads.client_specs(base)
@@ -229,23 +222,9 @@ def _buffer_length(plan) -> int:
     return max((r.end for r in plan.mem), default=0)
 
 
-def _run_strategy(session, plan, buffer, strategy, direction, config) -> ClientMetrics:
-    if strategy == "multiple":
-        return access_multiple(session, plan, buffer, direction)
-    if strategy == "list":
-        return access_list(session, plan, buffer, direction,
-                           ListIoConfig(config.list_limit))
-    if strategy == "sieving":
-        cfg = SievingConfig(config.sieving_buffer)
-        if direction == "read":
-            return access_sieving_read(session, plan, buffer, cfg)
-        return access_sieving_write(session, plan, buffer, cfg)
-    raise BenchError(f"unknown strategy {strategy!r}")
-
-
 def _run_clients_once(
     manager_addr: str, name: str, plans, buffers, strategy: str,
-    direction: str, config: BenchConfig,
+    direction: str,
 ) -> tuple[list[ClientMetrics], float]:
     """Run all clients concurrently once; returns per-client metrics and wall."""
     n = len(plans)
@@ -258,8 +237,8 @@ def _run_clients_once(
             session = pvfs_open(manager_addr, name)
             try:
                 barrier.wait()
-                results[i] = _run_strategy(
-                    session, plans[i], buffers[i], strategy, direction, config
+                results[i] = STRATEGIES[strategy](
+                    session, plans[i], buffers[i], direction
                 )
             finally:
                 session.close()
@@ -382,13 +361,12 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
     if config.workload == "tiled" and direction == "write":
         raise BenchError("the tiled pattern is read-only (overlaps make "
                          "concurrent writes order-dependent)")
+    if config.servers < 1 or config.reps < 1:
+        raise BenchError(f"servers and reps must be >= 1, got "
+                         f"{config.servers} and {config.reps}")
     for strategy in config.strategies:
         if strategy not in STRATEGIES:
             raise BenchError(f"unknown strategy {strategy!r}")
-        if (strategy == "sieving" and direction == "write"
-                and not config.allow_sieving_writes):
-            raise BenchError("sieving writes must be enabled explicitly "
-                             "(allow_sieving_writes / --enable-sieving-writes)")
 
     own: Cluster | None = None
     if cluster is None and config.external_manager is None:
@@ -396,7 +374,7 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
         cluster = own
     manager_addr = config.external_manager or cluster.manager_addr
     storage_roots = cluster.storage_roots if cluster is not None else None
-    striping = StripingParams(0, config.servers, config.ssize)
+    striping = StripingParams(0, config.servers)
     # Fresh file names per call: an external manager outlives this process.
     run_tag = os.urandom(6).hex()
 
@@ -444,7 +422,7 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
                             buf[:] = bytes(len(buf))
                     per_client, wall = _run_clients_once(
                         manager_addr, fname, plans, buffers, strategy,
-                        direction, config,
+                        direction,
                     )
                     merged = ClientMetrics()
                     for m in per_client:
@@ -468,7 +446,7 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
     finally:
         if own is not None:
             own.shutdown()
-    return BenchReport(config, cells)
+    return BenchReport(cells)
 
 
 def _verify_write_readback(manager_addr: str, name: str, image) -> tuple[bool, str | None]:
@@ -509,12 +487,3 @@ def report_rows(report: BenchReport) -> list[str]:
         rows.append(row("mean", cell.reps[0].merged, cell.mean_wall))
     return rows
 
-
-def emit_report(report: BenchReport, path: str, append: bool = False) -> None:
-    """Write the report as CSV; header only when starting a new file."""
-    fresh = not (append and os.path.exists(path) and os.path.getsize(path) > 0)
-    with open(path, "a" if append else "w") as f:
-        if fresh:
-            f.write(CSV_COLUMNS + "\n")
-        for row in report_rows(report):
-            f.write(row + "\n")

@@ -32,28 +32,21 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--manager", metavar="HOST:PORT",
                        help="manager to register with (iod role)")
 
-    run = sub.add_parser("bench", help="run a benchmark cell and emit metrics")
+    run = sub.add_parser("bench", help="run a benchmark matrix and print its CSV")
     run.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     run.add_argument("--strategy", default="multiple,sieving,list",
                      help="comma-separated subset of multiple,sieving,list")
     run.add_argument("--clients", type=int, default=8)
     run.add_argument("--servers", type=int, default=8)
-    run.add_argument("--ssize", type=int, default=16384)
     run.add_argument("--accesses", type=_parse_int_list, default=None,
                      metavar="A[,A...]", help="per-client access counts")
     run.add_argument("--total-bytes", type=int, default=64 * 2**20)
     run.add_argument("--direction", choices=("read", "write"), default=None,
                      help="defaults to write for flash, read otherwise")
-    run.add_argument("--sieving-buffer", type=int, default=32 * 2**20)
-    run.add_argument("--list-limit", type=int, default=64)
     run.add_argument("--reps", type=int, default=3)
     run.add_argument("--verify", action="store_true")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--csv", metavar="PATH")
-    run.add_argument("--csv-append", action="store_true")
     run.add_argument("--flash-blocks", type=int, default=80)
-    run.add_argument("--enable-sieving-writes", action="store_true",
-                     help="allow tokened read-modify-write sieving writes")
     run.add_argument("--external-cluster", metavar="HOST:PORT",
                      help="use a running manager instead of launching one")
 
@@ -92,25 +85,19 @@ def _cmd_bench(args) -> int:
         strategies=tuple(args.strategy.split(",")),
         clients=args.clients,
         servers=args.servers,
-        ssize=args.ssize,
         accesses=args.accesses,
         total_bytes=args.total_bytes,
         direction=args.direction,
-        sieving_buffer=args.sieving_buffer,
-        list_limit=args.list_limit,
         reps=args.reps,
         verify=args.verify,
         seed=args.seed,
         flash_blocks=args.flash_blocks,
-        allow_sieving_writes=args.enable_sieving_writes,
         external_manager=args.external_cluster,
     )
     report = bench.run_matrix(config)
     print(bench.CSV_COLUMNS)
     for row in bench.report_rows(report):
         print(row)
-    if args.csv:
-        bench.emit_report(report, args.csv, append=args.csv_append)
     if args.verify and not report.all_verified:
         for cell in report.cells:
             if cell.verified is False:

@@ -82,8 +82,7 @@ def test_criterion_1_flash_request_counts(cluster):
     # live run at one-tenth block count; counts tie back by formula
     config = BenchConfig(
         workload="flash", strategies=("multiple", "list", "sieving"),
-        clients=2, flash_blocks=8, reps=1, verify=True,
-        allow_sieving_writes=True, seed=101,
+        clients=2, flash_blocks=8, reps=1, verify=True, seed=101,
     )
     play = run_matrix(config, cluster)
     assert play.all_verified

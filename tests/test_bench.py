@@ -9,7 +9,6 @@ from listio_pfs import bench, cli, workloads
 from listio_pfs.bench import (
     BenchConfig,
     CSV_COLUMNS,
-    emit_report,
     launch_cluster,
     report_rows,
     run_matrix,
@@ -29,17 +28,12 @@ class TestLaunchCluster:
         with launch_cluster(servers=1, storage_root=str(tmp_path)) as c:
             assert len(c.manager.roster) == 1
 
-    def test_busy_port_rejected(self, cluster):
-        port = int(cluster.manager_addr.rsplit(":", 1)[1])
-        with pytest.raises(OSError):
-            launch_cluster(servers=1, manager_port=port)
-
 
 class TestRunMatrix:
     def test_flash_list_two_procs(self, cluster):
         config = BenchConfig(
             workload="flash", strategies=("list",), clients=2, reps=1,
-            verify=True, allow_sieving_writes=True, seed=3,
+            verify=True, seed=3,
         )
         report = run_matrix(config, cluster)
         cell = report.cell("list")
@@ -76,13 +70,25 @@ class TestRunMatrix:
             report = bench.run_matrix(config)
             assert report.cell("list").verified is True
 
-    def test_sieving_writes_need_the_flag(self, cluster):
+    def test_cyclic_sieving_write_verifies(self, cluster):
+        # One window each: a tokened read-modify-write is two requests.
         config = BenchConfig(
             workload="cyclic", strategies=("sieving",), clients=2,
             accesses=(8,), total_bytes=1 << 16, direction="write", reps=1,
         )
-        with pytest.raises(BenchError):
-            run_matrix(config, cluster)
+        cell = run_matrix(config, cluster).cell("sieving")
+        assert cell.per_client_logical_requests == 2
+        assert cell.verified is True
+
+    def test_flash_external_manager_writes_verify_by_readback(self, cluster):
+        # No stripe-store access: every write cell is read back and compared.
+        config = BenchConfig(
+            workload="flash", clients=2, flash_blocks=1, reps=1, verify=True,
+            seed=8, external_manager=cluster.manager_addr,
+        )
+        report = run_matrix(config)
+        assert [c.strategy for c in report.cells] == list(bench.STRATEGIES)
+        assert all(c.verified is True for c in report.cells)
 
     def test_tiled_writes_rejected(self, cluster):
         config = BenchConfig(
@@ -90,6 +96,16 @@ class TestRunMatrix:
             direction="write", reps=1,
         )
         with pytest.raises(BenchError):
+            run_matrix(config, cluster)
+
+    @pytest.mark.parametrize("workload,clients,implied",
+                             [("tiled", 4, 6), ("blockblock", 5, 4)])
+    def test_client_count_must_match_the_workload(self, cluster, workload,
+                                                  clients, implied):
+        config = BenchConfig(workload=workload, clients=clients,
+                             total_bytes=1 << 20, reps=1)
+        with pytest.raises(BenchError, match=f"workload implies {implied} "
+                                             f"clients, config says {clients}"):
             run_matrix(config, cluster)
 
     def test_deterministic_apart_from_elapsed(self, cluster):
@@ -142,6 +158,22 @@ class TestVerify:
         ok, detail = verify_read_buffers([plan], [bytearray(0)], b"")
         assert ok and detail is None
 
+    def test_readback_reports_first_differing_offset(self, cluster,
+                                                     unique_name):
+        name = unique_name("readback")
+        session = pvfs_create(cluster.manager_addr, name, StripingParams(0, 8))
+        image = bytes(range(256)) * 256  # 64 KiB, across four stripes
+        pvfs_write(session, 0, image)
+        session.close()
+        assert bench._verify_write_readback(cluster.manager_addr, name,
+                                            image) == (True, None)
+        wrong = bytearray(image)
+        wrong[40000] ^= 0xFF
+        ok, detail = bench._verify_write_readback(cluster.manager_addr, name,
+                                                  wrong)
+        assert not ok
+        assert "offset 40000" in detail
+
     def test_read_buffer_divergence_reported(self):
         plan = AccessPlan(RegionList([(0, 4)]), RegionList([(8, 4)]))
         image = bytes(16)
@@ -161,32 +193,25 @@ class TestReport:
         )
         return run_matrix(config, cluster)
 
-    def test_header_and_row_count(self, cluster, tmp_path):
-        report = self._small_report(cluster)
-        path = tmp_path / "out.csv"
-        emit_report(report, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == CSV_COLUMNS
+    def test_header_and_row_count(self, cluster):
+        rows = report_rows(self._small_report(cluster))
         # one cell: three rep rows plus one mean row
-        assert len(lines) == 1 + len(report.cells) * (3 + 1)
-        assert lines[1].startswith("cyclic,multiple,2,8,1,")
-        assert lines[4].startswith("cyclic,multiple,2,8,mean,")
+        assert len(rows) == 3 + 1
+        for rep, row in zip(("1", "2", "3", "mean"), rows):
+            assert row.startswith(f"cyclic,multiple,2,8,{rep},")
+            assert len(row.split(",")) == len(CSV_COLUMNS.split(","))
 
-    def test_reemit_identical(self, cluster, tmp_path):
+    def test_reemit_identical(self, cluster):
         report = self._small_report(cluster)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_report(report, str(a))
-        emit_report(report, str(b))
-        assert a.read_bytes() == b.read_bytes()
+        assert report_rows(report) == report_rows(report)
 
-    def test_append_mode(self, cluster, tmp_path):
-        report = self._small_report(cluster)
-        path = tmp_path / "acc.csv"
-        emit_report(report, str(path), append=True)
-        emit_report(report, str(path), append=True)
-        lines = path.read_text().splitlines()
+    def test_append_mode(self, cluster):
+        # Rows carry no header, so two runs' rows join under one header.
+        first = report_rows(self._small_report(cluster))
+        second = report_rows(self._small_report(cluster))
+        lines = [CSV_COLUMNS] + first + second
         assert lines.count(CSV_COLUMNS) == 1
-        assert len(lines) == 1 + 2 * len(report.cells) * 4
+        assert len(lines) == 1 + 2 * 4
 
 
 class TestCli:
@@ -215,18 +240,36 @@ class TestCli:
                                 text=True, timeout=60, check=True)
         assert result.stdout.strip() == "False"
 
-    def test_bench_cli_runs_and_writes_csv(self, tmp_path, capsys):
-        csv = tmp_path / "cli.csv"
+    def test_bench_cli_runs_and_writes_csv(self, capsys):
         code = cli.main([
             "bench", "--workload", "cyclic", "--strategy", "multiple,list",
             "--clients", "2", "--servers", "2", "--accesses", "16",
             "--total-bytes", "65536", "--reps", "1", "--verify",
-            "--seed", "1", "--csv", str(csv),
+            "--seed", "1",
         ])
         assert code == 0
-        lines = csv.read_text().splitlines()
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == CSV_COLUMNS
         assert any(",pass" in line for line in lines[1:])
+
+    def test_bench_cli_flash_runs_every_strategy_by_default(self, capsys):
+        code = cli.main([
+            "bench", "--workload", "flash", "--clients", "2", "--servers", "2",
+            "--flash-blocks", "1", "--reps", "1", "--verify",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        for strategy in ("multiple", "sieving", "list"):
+            assert f"flash,{strategy},2,-,mean," in out
+
+    @pytest.mark.parametrize("flag", ["--servers", "--reps"])
+    def test_bench_cli_zero_count_is_an_error(self, capsys, flag):
+        code = cli.main([
+            "bench", "--workload", "cyclic", "--strategy", "list",
+            "--accesses", "64", "--total-bytes", "1048576", flag, "0",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.slow
