@@ -266,7 +266,10 @@ def _run_clients_once(
 
 def _prepare_file(manager_addr: str, name: str, striping: StripingParams,
                   image=None) -> int:
-    session = pvfs_create(manager_addr, name, striping)
+    try:
+        session = pvfs_create(manager_addr, name, striping)
+    except ValueError as exc:  # e.g. more servers than the roster holds
+        raise BenchError(f"cannot create {name!r}: {exc}") from exc
     try:
         if image:
             view = memoryview(image)

@@ -492,14 +492,20 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
     payload is copied out run by run just before it is sent. A failure
     leaves each channel that did not return its whole reply owing it, and
     FileSession._channel replaces such a channel before its next use.
+    A request with a message over wire.MAX_PAYLOAD raises ValueError
+    before any message is sent.
     """
     if not len(view):
         return
     listed = opcode in wire.LIST_OPCODES
     reading = opcode in wire.READ_OPCODES
+    messages = fan_out(file_regions, session.striping, limit if listed else None)
+    if len(view) > wire.MAX_PAYLOAD:  # else no message can be over the cap
+        for message in messages:
+            if message.regions.total_length > wire.MAX_PAYLOAD:
+                raise ValueError(wire.over_cap(message.regions.total_length))
     m = session.metrics
     m.logical_requests += 1
-    messages = fan_out(file_regions, session.striping, limit if listed else None)
     # A contiguous request involves each daemon at most once: one wave.
     for wave in _waves(messages) if listed else (messages,):
         sent = []

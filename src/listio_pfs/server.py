@@ -11,6 +11,7 @@ directly once a file is open.
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import socket
 import socketserver
@@ -44,6 +45,31 @@ def parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
+class _Connection:
+    """One client connection. It owns the buffer that every request's data
+    passes through: an anonymous mapping, replaced by a larger one when a
+    request needs more room, never larger than wire.MAX_PAYLOAD, and
+    dropped with the connection. A fresh mapping commits no memory until
+    the data arrives. The manager holds write tokens in a connection's
+    name."""
+
+    __slots__ = ("_map", "_view")
+
+    def __init__(self):
+        self._map = None
+        self._view = memoryview(b"")
+
+    def buffer(self, size: int) -> memoryview:
+        """The first `size` bytes of the buffer; ValueError over the cap."""
+        if size > len(self._view):
+            if size > wire.MAX_PAYLOAD:
+                raise ValueError(wire.over_cap(size))
+            self._view = self._map = None  # unmapped once no view is left
+            self._map = mmap.mmap(-1, size)
+            self._view = memoryview(self._map)
+        return self._view[:size]
+
+
 class _Endpoint:
     """Shared TCP plumbing: a threaded accept loop over framed requests."""
 
@@ -54,27 +80,29 @@ class _Endpoint:
             def handle(self) -> None:
                 sock = self.request
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn_id = object()
+                conn = _Connection()
                 try:
                     while True:
-                        frame = wire.recv_request(sock)
+                        frame = wire.recv_request(sock, conn.buffer)
                         if frame is None:
                             return
                         header, trailing, data = frame
                         try:
-                            payload = endpoint.dispatch(conn_id, header, trailing, data)
+                            if data is None:  # over the cap, left unread
+                                raise ValueError(wire.over_cap(header.length))
+                            payload = endpoint.dispatch(conn, header, trailing, data)
                             wire.send_response(sock, header.request_id, wire.STATUS_OK,
                                                payload)
                         except Exception as exc:  # per-request failure
                             wire.send_response(sock, header.request_id,
                                                wire.status_for(exc),
                                                str(exc).encode("utf-8"))
-                            if isinstance(exc, ProtocolError):
-                                return  # stream may be desynchronized
+                            if data is None or isinstance(exc, ProtocolError):
+                                return  # stream holds a payload or is desynchronized
                 except (ProtocolError, ConnectionError, OSError):
                     return  # peer went away or sent garbage mid-frame
                 finally:
-                    endpoint.connection_closed(conn_id)
+                    endpoint.connection_closed(conn)
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -104,10 +132,12 @@ class _Endpoint:
             self._thread = None
 
     # subclass surface
-    def dispatch(self, conn_id, header, trailing, data) -> bytes:
+    def dispatch(self, conn: _Connection, header, trailing, data):
+        """Serve one request; returns the reply payload, which may be a
+        view of the connection's buffer."""
         raise NotImplementedError
 
-    def connection_closed(self, conn_id) -> None:
+    def connection_closed(self, conn: _Connection) -> None:
         pass
 
 
@@ -225,10 +255,10 @@ class Manager(_Endpoint):
 
     # -- wire dispatch -----------------------------------------------------
 
-    def dispatch(self, conn_id, header, trailing, data) -> bytes:
+    def dispatch(self, conn, header, trailing, data) -> bytes:
         op = header.opcode
         if op == wire.REGISTER:
-            slot = self.register_daemon(data.decode("utf-8"))
+            slot = self.register_daemon(str(data, "utf-8"))
             return wire.pack_u32(slot)
         if op == wire.CREATE:
             name, striping = wire.decode_create_payload(data)
@@ -237,24 +267,27 @@ class Manager(_Endpoint):
                 meta.handle, meta.striping, meta.size, meta.roster
             )
         if op == wire.OPEN:
-            meta = self.open(data.decode("utf-8"))
+            meta = self.open(str(data, "utf-8"))
             return wire.encode_metadata_payload(
                 meta.handle, meta.striping, meta.size, meta.roster
             )
         if op == wire.CLOSE:
             return b""
         if op == wire.TOKEN_ACQUIRE:
-            self.token_acquire(header.file_handle, conn_id)
+            self.token_acquire(header.file_handle, conn)
             return b""
         if op == wire.TOKEN_RELEASE:
-            self.token_release(header.file_handle, conn_id)
+            self.token_release(header.file_handle, conn)
             return b""
         raise ProtocolError(
             f"manager does not accept {wire.OPCODE_NAMES.get(op, op)}"
         )
 
-    def connection_closed(self, conn_id) -> None:
-        self._release_all(conn_id)
+    def connection_closed(self, conn) -> None:
+        self._release_all(conn)
+
+
+_ZEROS = memoryview(bytes(1 << 16))  # source of the zeros past a file's end
 
 
 class StripeStore:
@@ -286,11 +319,14 @@ class StripeStore:
         """The request lock of an attached handle."""
         return self._file(handle)[1]
 
-    def pread(self, handle: int, offset: int, length: int) -> bytes:
-        data = os.pread(self._file(handle)[0], length, offset)
-        if len(data) < length:
-            data += bytes(length - len(data))  # holes and EOF read as zeros
-        return data
+    def pread(self, handle: int, offset: int, out) -> None:
+        """Fill the writable view `out` from `offset`; holes read as zeros,
+        and so does a tail past the end of the file."""
+        got = os.preadv(self._file(handle)[0], (out,), offset)
+        while got < len(out):
+            n = min(len(out) - got, len(_ZEROS))
+            out[got : got + n] = _ZEROS[:n]
+            got += n
 
     def pwrite(self, handle: int, offset: int, data) -> None:
         fd = self._file(handle)[0]
@@ -360,12 +396,15 @@ class IoDaemon(_Endpoint):
             raise ProtocolError(f"bad handle {handle}")
         self.store.attach(handle)
 
-    def read(self, handle: int, regions) -> bytes:
-        """The bytes of the server-local (offset, length) regions, in order."""
+    def read(self, handle: int, regions, out) -> None:
+        """Fill the view `out` with the bytes of the server-local (offset,
+        length) regions, in order; `out` is as long as they are together."""
         store = self.store
+        pos = 0
         with store.lock(handle):
-            return b"".join([store.pread(handle, offset, length)
-                             for offset, length in regions])
+            for offset, length in regions:
+                store.pread(handle, offset, out[pos : pos + length])
+                pos += length
 
     def write(self, handle: int, regions, data) -> None:
         """Store `data` across the server-local (offset, length) regions."""
@@ -390,7 +429,7 @@ class IoDaemon(_Endpoint):
 
     # -- wire dispatch -----------------------------------------------------
 
-    def dispatch(self, conn_id, header, trailing, data) -> bytes:
+    def dispatch(self, conn, header, trailing, data):
         op = header.opcode
         handle = header.file_handle
         if op in wire.DATA_OPCODES:
@@ -398,7 +437,9 @@ class IoDaemon(_Endpoint):
             if regions is None:  # a contiguous request: its header's region
                 regions = ((header.offset, header.length),)
             if op in wire.READ_OPCODES:
-                return self.read(handle, regions)
+                out = conn.buffer(header.length)
+                self.read(handle, regions, out)
+                return out
             self.write(handle, regions, data)
             return b""
         if op == wire.OPEN:

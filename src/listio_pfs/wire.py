@@ -30,6 +30,9 @@ HEADER_SIZE = 64
 REGION_ENTRY_SIZE = 16
 MAX_LIST_REGIONS = 64
 MAX_REQUEST_FRAME = 1500
+# The most data one request may carry or ask for: twice the client's
+# default 32 MiB sieving window, which is the largest message it sends.
+MAX_PAYLOAD = 64 << 20
 IOV_MAX = 1024  # buffers one recvmsg_into call may take (Linux UIO_MAXIOV)
 
 # Opcodes. CREATE/OPEN/CLOSE/TOKEN_*/REGISTER are manager operations;
@@ -172,9 +175,13 @@ def decode_header(data) -> IoRequestHeader:
                            magic, version)
 
 
-def decode_request(data) -> tuple[IoRequestHeader, RegionList | None]:
-    """Inverse of encode_request; validates the prefix before trailing data."""
-    header = decode_header(data)
+def decode_request(
+    data, header: IoRequestHeader | None = None
+) -> tuple[IoRequestHeader, RegionList | None]:
+    """Inverse of encode_request; validates the prefix before trailing data.
+    `header`, when given, is the decoded prefix of `data`, not decoded again."""
+    if header is None:
+        header = decode_header(data)
     if header.opcode not in LIST_OPCODES:
         return header, None
     need = HEADER_SIZE + header.region_count * REGION_ENTRY_SIZE
@@ -253,6 +260,12 @@ def decode_metadata_payload(data) -> tuple[int, StripingParams, int, list[str]]:
         roster.append(bytes(data[pos : pos + n]).decode("utf-8"))
         pos += n
     return handle, StripingParams(base, pcount, ssize), size, roster
+
+
+def over_cap(length: int) -> str:
+    """The diagnostic for a request whose data is over MAX_PAYLOAD."""
+    return (f"request data of {length} bytes is over the "
+            f"{MAX_PAYLOAD}-byte cap")
 
 
 def status_for(exc: Exception) -> int:
@@ -357,9 +370,13 @@ def send_request(
 
 
 def recv_request(
-    sock: socket.socket,
-) -> tuple[IoRequestHeader, RegionList | None, bytes] | None:
-    """Receive one framed request; None on clean EOF between requests."""
+    sock: socket.socket, buffer=lambda n: memoryview(bytearray(n))
+) -> tuple[IoRequestHeader, RegionList | None, memoryview | bytes | None] | None:
+    """Receive one framed request; None on clean EOF between requests.
+
+    A payload is received into `buffer(length)`, a writable view of
+    `length` bytes (a fresh one of its own by default). A payload over
+    MAX_PAYLOAD is left unread on the stream and returned as None."""
     head = read_exact(sock, HEADER_SIZE, allow_eof=True)
     if head is None:
         return None
@@ -367,10 +384,19 @@ def recv_request(
     trailing = None
     if header.opcode in LIST_OPCODES:
         raw = head + read_exact(sock, header.region_count * REGION_ENTRY_SIZE)
-        header, trailing = decode_request(raw)
-    data = b""
-    if header.opcode in _PAYLOAD_OPCODES:
-        data = read_exact(sock, header.length)
+        header, trailing = decode_request(raw, header)
+    if header.opcode not in _PAYLOAD_OPCODES:
+        return header, trailing, b""
+    n = header.length
+    if n > MAX_PAYLOAD:
+        return header, trailing, None
+    data = buffer(n)
+    got = 0
+    while got < n:
+        r = sock.recv_into(data[got:])
+        if not r:
+            raise ProtocolError(f"connection closed after {got} of {n} bytes")
+        got += r
     return header, trailing, data
 
 

@@ -271,6 +271,20 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_bench_cli_more_servers_than_the_cluster_has_is_an_error(
+            self, tmp_path, capsys):
+        with launch_cluster(servers=2, storage_root=str(tmp_path)) as c:
+            code = cli.main([
+                "bench", "--workload", "cyclic", "--strategy", "list",
+                "--clients", "2", "--servers", "8", "--accesses", "8",
+                "--total-bytes", "16384", "--reps", "1",
+                "--external-cluster", c.manager_addr,
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "striping wants 8 servers but only 2 registered" in err
+
 
 @pytest.mark.slow
 class TestExternalProcesses:

@@ -17,6 +17,13 @@ from listio_pfs.regions import RegionList, StripingParams
 from listio_pfs.server import IoDaemon, Manager, parse_addr
 
 
+def _read(daemon, handle, regions) -> bytes:
+    """daemon.read into a buffer of 0xff bytes as long as the regions."""
+    out = memoryview(bytearray(b"\xff" * sum(n for _off, n in regions)))
+    daemon.read(handle, regions, out)
+    return bytes(out)
+
+
 @pytest.fixture(scope="module")
 def manager():
     m = Manager()
@@ -186,7 +193,7 @@ class TestTokens:
 class TestDaemonStorage:
     def test_unattached_handle_rejected(self, daemon):
         with pytest.raises(NotFoundError):
-            daemon.read(12345, [(0, 4)])
+            _read(daemon, 12345, [(0, 4)])
         with pytest.raises(NotFoundError):
             daemon.write(12345, [(0, 4)], b"abcd")
         with pytest.raises(NotFoundError):
@@ -195,22 +202,22 @@ class TestDaemonStorage:
     def test_write_read_round_trip(self, daemon):
         daemon.attach(1)
         daemon.write(1, [(0, 16)], b"0123456789abcdef")
-        assert daemon.read(1, [(0, 16)]) == b"0123456789abcdef"
+        assert _read(daemon, 1, [(0, 16)]) == b"0123456789abcdef"
 
     def test_holes_read_as_zero(self, daemon):
         daemon.attach(2)
-        assert daemon.read(2, [(100, 8)]) == bytes(8)
+        assert _read(daemon, 2, [(100, 8)]) == bytes(8)
 
     def test_read_spans_written_and_hole(self, daemon):
         daemon.attach(3)
         daemon.write(3, [(0, 8)], b"\xaa" * 8)
-        assert daemon.read(3, [(0, 12)]) == b"\xaa" * 8 + bytes(4)
+        assert _read(daemon, 3, [(0, 12)]) == b"\xaa" * 8 + bytes(4)
 
     def test_last_writer_wins(self, daemon):
         daemon.attach(4)
         daemon.write(4, [(0, 8)], b"\x11" * 8)
         daemon.write(4, [(4, 8)], b"\x22" * 8)
-        assert daemon.read(4, [(0, 12)]) == b"\x11" * 4 + b"\x22" * 8
+        assert _read(daemon, 4, [(0, 12)]) == b"\x11" * 4 + b"\x22" * 8
 
     def test_sparse_write_sets_size(self, daemon):
         daemon.attach(5)
@@ -221,7 +228,7 @@ class TestDaemonStorage:
         daemon.attach(6)
         daemon.write(6, [(0, 8)], b"A" * 8)
         daemon.write(6, [(100, 8)], b"B" * 8)
-        got = daemon.read(6, RegionList([(0, 8), (100, 8)]))
+        got = _read(daemon, 6, RegionList([(0, 8), (100, 8)]))
         assert got == b"A" * 8 + b"B" * 8
 
     def test_single_region_list_equals_contig(self, daemon):
@@ -241,20 +248,20 @@ class TestDaemonStorage:
         daemon.attach(8)
         daemon.write(8, [(0, 200)], bytes(range(200)))
         regions = RegionList([(i * 3, 1) for i in range(64)])
-        payload = daemon.read(8, regions)
+        payload = _read(daemon, 8, regions)
         assert payload == bytes(i * 3 for i in range(64))
 
     def test_write_list_scatter(self, daemon):
         daemon.attach(9)
         daemon.write(9, RegionList([(0, 4), (10, 4)]), b"aaaabbbb")
-        assert daemon.read(9, [(0, 14)]) == b"aaaa" + bytes(6) + b"bbbb"
+        assert _read(daemon, 9, [(0, 14)]) == b"aaaa" + bytes(6) + b"bbbb"
 
     def test_write_list_length_mismatch_rejected(self, daemon):
         daemon.attach(10)
         for regions in ([(0, 4)], RegionList([(0, 4), (8, 4)])):
             with pytest.raises(ProtocolError):
                 daemon.write(10, regions, b"toolong")
-        assert daemon.read(10, [(0, 12)]) == bytes(12)  # nothing written
+        assert _read(daemon, 10, [(0, 12)]) == bytes(12)  # nothing written
 
     def test_storage_fidelity_random_sequence(self, daemon):
         daemon.attach(11)
@@ -269,7 +276,7 @@ class TestDaemonStorage:
                 daemon.write(11, [(off, ln)], data)
                 shadow[off : off + ln] = data
             elif op == 1:
-                assert daemon.read(11, [(off, ln)]) == bytes(shadow[off : off + ln])
+                assert _read(daemon, 11, [(off, ln)]) == bytes(shadow[off : off + ln])
             elif op == 2:
                 regions, pos, parts = [], off, []
                 for _ in range(rng.randrange(1, 5)):
@@ -292,7 +299,7 @@ class TestDaemonStorage:
                 expected = b"".join(
                     bytes(shadow[roff : roff + rlen]) for roff, rlen in regions
                 )
-                assert daemon.read(11, RegionList(regions)) == expected
+                assert _read(daemon, 11, RegionList(regions)) == expected
 
 
 class TestDaemonWire:

@@ -330,7 +330,13 @@ class TestStreamFuzz:
                     return
                 header, trailing, data = frame
                 assert (trailing is None) == (header.opcode not in wire.LIST_OPCODES)
-                assert isinstance(data, bytes)
+                if header.opcode not in wire._PAYLOAD_OPCODES:
+                    assert data == b""
+                elif header.length > wire.MAX_PAYLOAD:
+                    assert data is None  # left unread on the stream
+                    return
+                else:
+                    assert len(data) == header.length
         finally:
             writer.close()
             reader.close()
