@@ -10,7 +10,6 @@ absolute expectations; tests assert counts and orderings only.
 
 from __future__ import annotations
 
-import math
 import os
 import shutil
 import tempfile
@@ -53,26 +52,29 @@ CSV_COLUMNS = (
 
 
 class Cluster:
-    """A running manager plus its registered I/O daemons."""
+    """A running manager plus its registered I/O daemons; `owned_root` is a
+    storage root that the cluster made, and removes on shutdown."""
 
     def __init__(self, manager: Manager, daemons: list[IoDaemon],
-                 storage_roots: list[str], owns_storage: bool = False):
+                 owned_root: str | None = None):
         self.manager = manager
         self.daemons = daemons
-        self.storage_roots = storage_roots
-        self._owns_storage = owns_storage
+        self._owned_root = owned_root
 
     @property
     def manager_addr(self) -> str:
         return self.manager.address
 
+    @property
+    def storage_roots(self) -> list[str]:
+        return [daemon.store.root for daemon in self.daemons]
+
     def shutdown(self) -> None:
         for daemon in self.daemons:
             daemon.stop()
         self.manager.stop()
-        if self._owns_storage and self.storage_roots:
-            shutil.rmtree(os.path.dirname(self.storage_roots[0]),
-                          ignore_errors=True)
+        if self._owned_root is not None:
+            shutil.rmtree(self._owned_root, ignore_errors=True)
 
     def __enter__(self):
         return self
@@ -89,26 +91,26 @@ def launch_cluster(
 
     Daemons register sequentially so roster order is deterministic. Each
     daemon stores stripes under its own subdirectory of the storage root.
+    A temporary root made here goes with the cluster, or with a failed start.
     """
-    owns = storage_root is None
-    root = storage_root or tempfile.mkdtemp(prefix="listio-pfs-")
-    manager = Manager()
-    manager.start()
-    daemons: list[IoDaemon] = []
-    roots: list[str] = []
+    owned = None if storage_root else tempfile.mkdtemp(prefix="listio-pfs-")
+    started: list = []  # the manager, then each daemon, once running
     try:
+        manager = Manager()
+        manager.start()
+        started.append(manager)
         for i in range(servers):
-            sub = os.path.join(root, f"iod{i}")
-            daemon = IoDaemon(sub, manager_addr=manager.address)
+            daemon = IoDaemon(os.path.join(storage_root or owned, f"iod{i}"),
+                              manager_addr=manager.address)
             daemon.start()
-            daemons.append(daemon)
-            roots.append(sub)
+            started.append(daemon)
     except BaseException:
-        for daemon in daemons:
-            daemon.stop()
-        manager.stop()
+        for node in reversed(started):
+            node.stop()
+        if owned is not None:
+            shutil.rmtree(owned, ignore_errors=True)
         raise
-    return Cluster(manager, daemons, roots, owns_storage=owns)
+    return Cluster(manager, started[1:], owned)
 
 
 @dataclass
@@ -121,7 +123,6 @@ class BenchConfig:
     total_bytes: int = 64 * 2**20
     direction: str | None = None  # defaults per workload (flash writes)
     reps: int = 3
-    verify: bool = True
     seed: int = 0
     flash_blocks: int = 80
     external_manager: str | None = None
@@ -148,7 +149,7 @@ class CellResult:
     accesses: int | None
     direction: str
     reps: list[RepResult] = field(default_factory=list)
-    verified: bool | None = None
+    verified: bool = False
     failure: str | None = None
 
     @property
@@ -169,7 +170,7 @@ class BenchReport:
 
     @property
     def all_verified(self) -> bool:
-        return all(c.verified is not False for c in self.cells)
+        return all(c.verified for c in self.cells)
 
     def cell(self, strategy: str, accesses: int | None = None) -> CellResult:
         for c in self.cells:
@@ -180,15 +181,9 @@ class BenchReport:
 
 def resolve_accesses(config: BenchConfig) -> list[int | None]:
     """The per-client access counts to sweep; None for fixed-shape workloads."""
-    if config.accesses:
-        return list(config.accesses)
-    if config.workload == "cyclic":
-        return [1024]
-    if config.workload == "blockblock":
-        side = math.isqrt(config.total_bytes)
-        grid = math.isqrt(config.clients)
-        return [side // grid if grid else side]
-    return [None]
+    if config.workload != "cyclic":
+        return [None]
+    return list(config.accesses or (1024,))
 
 
 def build_specs(config: BenchConfig, accesses: int | None) -> list:
@@ -197,15 +192,6 @@ def build_specs(config: BenchConfig, accesses: int | None) -> list:
         base = workloads.CyclicSpec(
             clients=config.clients, client_id=0,
             total_bytes=config.total_bytes, accesses=accesses,
-        )
-    elif w == "blockblock":
-        grid = math.isqrt(config.clients)
-        side = math.isqrt(config.total_bytes)
-        if side * side != config.total_bytes:
-            raise BenchError(f"blockblock needs a square total_bytes, got "
-                             f"{config.total_bytes}")
-        base = workloads.BlockBlockSpec(
-            grid=grid, row=0, col=0, side_bytes=side, accesses=accesses,
         )
     elif w == "flash":
         base = workloads.FlashSpec(
@@ -364,6 +350,9 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
     if config.workload == "tiled" and direction == "write":
         raise BenchError("the tiled pattern is read-only (overlaps make "
                          "concurrent writes order-dependent)")
+    if config.accesses and config.workload != "cyclic":
+        raise BenchError(f"the {config.workload} pattern has a fixed shape; "
+                         f"it takes no access counts")
     if config.servers < 1 or config.reps < 1:
         raise BenchError(f"servers and reps must be >= 1, got "
                          f"{config.servers} and {config.reps}")
@@ -392,9 +381,7 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
                 )
             plans = [s.generate() for s in specs]
             name = specs[0].name
-            image = None
-            if direction == "read" or config.verify:
-                image = workloads.oracle_file_image(specs, config.seed)
+            image = workloads.oracle_file_image(specs, config.seed)
             read_file: tuple[str, int] | None = None
             for strategy in config.strategies:
                 run_id = f"{run_tag}.{len(cells) + 1}"
@@ -432,19 +419,18 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
                         merged.add(m)
                     cell.reps.append(RepResult(rep + 1, merged, per_client, wall))
 
-                if config.verify:
-                    if direction == "read":
-                        ok, detail = verify_read_buffers(plans, buffers, image)
-                    elif storage_roots is not None:
-                        ok, detail = verify_write_stores(
-                            storage_roots, handle, striping, image
-                        )
-                    else:
-                        ok, detail = _verify_write_readback(
-                            manager_addr, fname, image
-                        )
-                    cell.verified = ok
-                    cell.failure = detail
+                if direction == "read":
+                    ok, detail = verify_read_buffers(plans, buffers, image)
+                elif storage_roots is not None:
+                    ok, detail = verify_write_stores(
+                        storage_roots, handle, striping, image
+                    )
+                else:
+                    ok, detail = _verify_write_readback(
+                        manager_addr, fname, image
+                    )
+                cell.verified = ok
+                cell.failure = detail
                 cells.append(cell)
     finally:
         if own is not None:
@@ -470,8 +456,7 @@ def report_rows(report: BenchReport) -> list[str]:
     """CSV rows: one per repetition plus a mean row per cell."""
     rows = []
     for cell in report.cells:
-        verified = ("skip" if cell.verified is None
-                    else "pass" if cell.verified else "fail")
+        verified = "pass" if cell.verified else "fail"
         accesses = "-" if cell.accesses is None else str(cell.accesses)
         direction_major = ("wire_bytes_read" if cell.direction == "read"
                            else "wire_bytes_written")

@@ -39,12 +39,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--clients", type=int, default=8)
     run.add_argument("--servers", type=int, default=8)
     run.add_argument("--accesses", type=_parse_int_list, default=None,
-                     metavar="A[,A...]", help="per-client access counts")
+                     metavar="A[,A...]",
+                     help="per-client access counts (cyclic only)")
     run.add_argument("--total-bytes", type=int, default=64 * 2**20)
     run.add_argument("--direction", choices=("read", "write"), default=None,
                      help="defaults to write for flash, read otherwise")
     run.add_argument("--reps", type=int, default=3)
-    run.add_argument("--verify", action="store_true")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--flash-blocks", type=int, default=80)
     run.add_argument("--external-cluster", metavar="HOST:PORT",
@@ -89,7 +89,6 @@ def _cmd_bench(args) -> int:
         total_bytes=args.total_bytes,
         direction=args.direction,
         reps=args.reps,
-        verify=args.verify,
         seed=args.seed,
         flash_blocks=args.flash_blocks,
         external_manager=args.external_cluster,
@@ -98,9 +97,9 @@ def _cmd_bench(args) -> int:
     print(bench.CSV_COLUMNS)
     for row in bench.report_rows(report):
         print(row)
-    if args.verify and not report.all_verified:
+    if not report.all_verified:
         for cell in report.cells:
-            if cell.verified is False:
+            if not cell.verified:
                 print(f"VERIFY FAIL {cell.strategy}: {cell.failure}",
                       file=sys.stderr)
         return 1

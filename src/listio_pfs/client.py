@@ -42,7 +42,6 @@ from .errors import (
 # here because the benchmark's layer trace (perfbench/layers.py) times the
 # regions functions this module imports, and its tests expect these names.
 from .regions import (  # noqa: F401
-    DEFAULT_REGION_LIMIT,
     RegionList,
     Run,
     StripingParams,
@@ -57,27 +56,8 @@ from .regions import (  # noqa: F401
 )
 from .server import parse_addr
 
-DEFAULT_SIEVING_BUFFER = 32 * 1024 * 1024
-
-
-@dataclass
-class SievingConfig:
-    buffer_size: int = DEFAULT_SIEVING_BUFFER
-
-    def __post_init__(self):
-        if self.buffer_size < 1:
-            raise ValueError("sieving buffer must be >= 1 byte")
-
-
-@dataclass
-class ListIoConfig:
-    region_limit: int = DEFAULT_REGION_LIMIT
-
-    def __post_init__(self):
-        if not 1 <= self.region_limit <= wire.MAX_LIST_REGIONS:
-            raise ValueError(
-                f"region limit must be in 1..{wire.MAX_LIST_REGIONS}"
-            )
+# The file extent one sieving request reads, and writes back, at most.
+SIEVING_WINDOW = 32 << 20
 
 
 @dataclass
@@ -438,10 +418,6 @@ def pvfs_open(manager_addr: str, name: str) -> FileSession:
     return _open_session(manager_addr, name, wire.OPEN, name.encode("utf-8"))
 
 
-def pvfs_close(session: FileSession) -> None:
-    session.close()
-
-
 # -- the executor ----------------------------------------------------------
 
 def _waves(messages) -> list:
@@ -476,15 +452,15 @@ def _pieces(runs, view, total: int):
     return pieces if len(pieces) * _PIECE_MIN <= total else None
 
 
-def _exchange(session: FileSession, opcode: int, file_regions, view,
-              limit: int = DEFAULT_REGION_LIMIT) -> None:
+def _exchange(session: FileSession, opcode: int, file_regions, view) -> None:
     """Carry out one logical request against the daemons.
 
     `view` holds the bytes of the sorted `file_regions` in file order: reads
-    fill it, writes send it. List opcodes carry at most `limit` regions per
-    message. The messages go out in waves, each sent to all its daemons
-    before any reply is awaited. This is the only code that sends data
-    requests to daemons and the only code that counts them.
+    fill it, writes send it. List opcodes carry at most
+    wire.MAX_LIST_REGIONS regions per message. The messages go out in
+    waves, each sent to all its daemons before any reply is awaited. This
+    is the only code that sends data requests to daemons and the only code
+    that counts them.
 
     A read whose bytes lie in few enough pieces of the view is received
     straight into them; any other read is received whole and moved in. A
@@ -499,7 +475,8 @@ def _exchange(session: FileSession, opcode: int, file_regions, view,
         return
     listed = opcode in wire.LIST_OPCODES
     reading = opcode in wire.READ_OPCODES
-    messages = fan_out(file_regions, session.striping, limit if listed else None)
+    messages = fan_out(file_regions, session.striping,
+                       wire.MAX_LIST_REGIONS if listed else None)
     if len(view) > wire.MAX_PAYLOAD:  # else no message can be over the cap
         for message in messages:
             if message.regions.total_length > wire.MAX_PAYLOAD:
@@ -600,16 +577,16 @@ def access_multiple(
 
 
 def _sieve(session: FileSession, plan: AccessPlan, buffer,
-           cfg: SievingConfig, writing: bool) -> None:
+           writing: bool) -> None:
     """Read each extent window that holds plan bytes whole, then move the
     plan's bytes out of it, or into it and write it back whole. A window's
     plan bytes move with one walk of the plan's file runs."""
     if not len(plan.file):
         return
     view = memoryview(buffer)
-    scratch = session._scratch_view(min(cfg.buffer_size,
+    scratch = session._scratch_view(min(SIEVING_WINDOW,
                                         extent(plan.file).length))
-    for ws, we, first, last in plan.windows(cfg.buffer_size):
+    for ws, we, first, last in plan.windows(SIEVING_WINDOW):
         window = scratch[: we - ws]
         span = ((ws, we - ws),)
         _exchange(session, wire.READ, span, window)
@@ -620,17 +597,15 @@ def _sieve(session: FileSession, plan: AccessPlan, buffer,
 
 
 def access_sieving_read(
-    session: FileSession, plan: AccessPlan, buffer,
-    cfg: SievingConfig | None = None,
+    session: FileSession, plan: AccessPlan, buffer
 ) -> ClientMetrics:
     """Fetch the plan extent in large windows, scattering wanted bytes."""
     return _accounted(session, plan.total_length, _sieve,
-                      session, plan, buffer, cfg or SievingConfig(), False)
+                      session, plan, buffer, False)
 
 
 def access_sieving_write(
-    session: FileSession, plan: AccessPlan, buffer,
-    cfg: SievingConfig | None = None,
+    session: FileSession, plan: AccessPlan, buffer
 ) -> ClientMetrics:
     """Read-modify-write each extent window under the per-file token.
 
@@ -643,7 +618,7 @@ def access_sieving_write(
             return
         session.acquire_token()
         try:
-            _sieve(session, plan, buffer, cfg or SievingConfig(), True)
+            _sieve(session, plan, buffer, True)
         finally:
             session.release_token()
 
@@ -651,8 +626,7 @@ def access_sieving_write(
 
 
 def access_list(
-    session: FileSession, plan: AccessPlan, buffer, direction: str,
-    cfg: ListIoConfig | None = None,
+    session: FileSession, plan: AccessPlan, buffer, direction: str
 ) -> ClientMetrics:
     """Carry file regions as trailing data, 64 per request at most.
 
@@ -663,38 +637,28 @@ def access_list(
     is staged in file order and scattered or gathered once.
     """
     opcode = _direction_opcode(direction, wire.READ_LIST, wire.WRITE_LIST)
-    limit = (cfg or ListIoConfig()).region_limit
     view = memoryview(buffer)
 
     def body():
         pos = 0
-        for batch in batch_regions(plan.file, limit):
+        for batch in batch_regions(plan.file, wire.MAX_LIST_REGIONS):
             n = batch.total_length
             with _plan_bytes(plan, view, pos, n, opcode == wire.READ_LIST) as part:
-                _exchange(session, opcode, batch, part, limit)
+                _exchange(session, opcode, batch, part)
             pos += n
 
     return _accounted(session, plan.total_length, body)
 
 
 def pvfs_read_list(
-    session: FileSession, plan: AccessPlan, buffer,
-    cfg: ListIoConfig | None = None,
+    session: FileSession, plan: AccessPlan, buffer
 ) -> ClientMetrics:
     """The list API's read entry point; delegates to the list strategy."""
-    return access_list(session, plan, buffer, "read", cfg)
+    return access_list(session, plan, buffer, "read")
 
 
 def pvfs_write_list(
-    session: FileSession, plan: AccessPlan, buffer,
-    cfg: ListIoConfig | None = None,
+    session: FileSession, plan: AccessPlan, buffer
 ) -> ClientMetrics:
     """The list API's write entry point; delegates to the list strategy."""
-    return access_list(session, plan, buffer, "write", cfg)
-
-
-def metrics_snapshot(session: FileSession) -> ClientMetrics:
-    """Return accumulated session counters and reset them."""
-    snap = session.metrics
-    session.metrics = ClientMetrics()
-    return snap
+    return access_list(session, plan, buffer, "write")

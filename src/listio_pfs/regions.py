@@ -19,7 +19,8 @@ from .errors import PlanError
 U64_MAX = 2**64 - 1
 
 DEFAULT_STRIPE_SIZE = 16384
-DEFAULT_REGION_LIMIT = 64
+# The most regions a list request carries: the wire's cap and the list batch.
+MAX_LIST_REGIONS = 64
 
 
 class Region(NamedTuple):
@@ -216,7 +217,7 @@ class Message(NamedTuple):
 
 def split_by_server(
     file_regions: Iterable[tuple[int, int]], sp: StripingParams,
-    limit: int = DEFAULT_REGION_LIMIT,
+    limit: int = MAX_LIST_REGIONS,
 ) -> list[Message]:
     """Fan sorted, non-overlapping file regions out as list messages.
 
@@ -355,7 +356,7 @@ def count_transfer_pieces(mem: Iterable[Region], file: Iterable[Region]) -> int:
 
 
 def batch_regions(
-    file_regions: RegionList, limit: int = DEFAULT_REGION_LIMIT
+    file_regions: RegionList, limit: int = MAX_LIST_REGIONS
 ) -> list[RegionList]:
     """Chop a region list into order-preserving batches of at most `limit`."""
     if limit < 1:

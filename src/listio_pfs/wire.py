@@ -21,17 +21,16 @@ from .errors import (
     ProtocolError,
     TokenError,
 )
-from .regions import RegionList, StripingParams
+from .regions import MAX_LIST_REGIONS, RegionList, StripingParams
 
 MAGIC = 0x50564C31
 VERSION = 1
 
 HEADER_SIZE = 64
 REGION_ENTRY_SIZE = 16
-MAX_LIST_REGIONS = 64
 MAX_REQUEST_FRAME = 1500
 # The most data one request may carry or ask for: twice the client's
-# default 32 MiB sieving window, which is the largest message it sends.
+# sieving window (client.SIEVING_WINDOW), the largest message it sends.
 MAX_PAYLOAD = 64 << 20
 IOV_MAX = 1024  # buffers one recvmsg_into call may take (Linux UIO_MAXIOV)
 
@@ -202,23 +201,10 @@ def decode_request(
     return header, trailing
 
 
-def encode_response(request_id: int, status: int, payload: bytes = b"") -> bytes:
-    return _RESPONSE.pack(request_id, status, len(payload)) + payload
-
-
 def decode_response_prefix(data) -> tuple[int, int, int]:
     if len(data) < RESPONSE_PREFIX_SIZE:
         raise ProtocolError(f"short response prefix: {len(data)} bytes")
     return _RESPONSE.unpack_from(data)
-
-
-def decode_response(data) -> tuple[int, int, bytes]:
-    """Decode a complete response buffer into (request_id, status, payload)."""
-    request_id, status, payload_length = decode_response_prefix(data)
-    if len(data) < RESPONSE_PREFIX_SIZE + payload_length:
-        raise ProtocolError("truncated response payload")
-    payload = bytes(data[RESPONSE_PREFIX_SIZE : RESPONSE_PREFIX_SIZE + payload_length])
-    return request_id, status, payload
 
 
 def encode_create_payload(name: str, sp: StripingParams) -> bytes:

@@ -1,8 +1,8 @@
-"""Deterministic access-plan generators for the four benchmark patterns.
+"""Deterministic access-plan generators for the three benchmark patterns.
 
-Each generator produces one client's AccessPlan. The cyclic, block-block
-and checkpoint patterns partition the file exactly across clients; the
-tiled pattern overlaps neighbouring tiles. oracle_file_image builds the
+Each generator produces one client's AccessPlan. The cyclic and
+checkpoint patterns partition the file exactly across clients; the tiled
+pattern overlaps neighbouring tiles. oracle_file_image builds the
 ground-truth flat file image used to prepare read runs and to check writes.
 """
 
@@ -15,9 +15,9 @@ from typing import ClassVar, Iterator, Sequence
 
 from .client import AccessPlan
 from .errors import WorkloadError
-from .regions import Region, RegionList
+from .regions import MAX_LIST_REGIONS, Region, RegionList
 
-WORKLOADS = ("cyclic", "blockblock", "flash", "tiled")
+WORKLOADS = ("cyclic", "flash", "tiled")
 
 
 @dataclass(frozen=True)
@@ -72,85 +72,6 @@ def gen_cyclic(spec: CyclicSpec) -> AccessPlan:
 
 
 @dataclass(frozen=True)
-class BlockBlockSpec:
-    """Two-dimensional q x q block split of a square byte array.
-
-    Each client owns a (side/q) x (side/q) block; every row segment of the
-    block is emitted as accesses/(side/q) equal adjacent file regions, so
-    region count equals the per-client access count.
-    """
-
-    name: ClassVar[str] = "blockblock"
-
-    grid: int
-    row: int
-    col: int
-    side_bytes: int
-    accesses: int
-
-    def __post_init__(self):
-        if self.grid < 1:
-            raise WorkloadError("grid must be >= 1")
-        if not (0 <= self.row < self.grid and 0 <= self.col < self.grid):
-            raise WorkloadError("tile coordinates outside the grid")
-        if self.side_bytes % self.grid:
-            raise WorkloadError("side_bytes must be divisible by grid")
-        block_side = self.side_bytes // self.grid
-        if self.accesses % block_side:
-            raise WorkloadError(
-                f"accesses {self.accesses} not divisible by rows {block_side}"
-            )
-        if block_side % (self.accesses // block_side):
-            raise WorkloadError(
-                f"row length {block_side} not divisible by "
-                f"{self.accesses // block_side} pieces per row"
-            )
-
-    @property
-    def block_side(self) -> int:
-        return self.side_bytes // self.grid
-
-    @property
-    def pieces_per_row(self) -> int:
-        return self.accesses // self.block_side
-
-    @property
-    def piece_bytes(self) -> int:
-        return self.block_side // self.pieces_per_row
-
-    @property
-    def file_bytes(self) -> int:
-        return self.side_bytes * self.side_bytes
-
-    @property
-    def client_count(self) -> int:
-        return self.grid * self.grid
-
-    @property
-    def client_id(self) -> int:
-        return self.row * self.grid + self.col
-
-    def for_client(self, client_id: int) -> "BlockBlockSpec":
-        return replace(self, row=client_id // self.grid, col=client_id % self.grid)
-
-    def generate(self) -> AccessPlan:
-        return gen_blockblock(self)
-
-
-def gen_blockblock(spec: BlockBlockSpec) -> AccessPlan:
-    side = spec.side_bytes
-    bs = spec.block_side
-    piece = spec.piece_bytes
-    per_row = spec.pieces_per_row
-    regions = []
-    for row in range(spec.row * bs, (spec.row + 1) * bs):
-        start = row * side + spec.col * bs
-        regions.extend(Region(start + j * piece, piece) for j in range(per_row))
-    mem = RegionList([Region(0, bs * bs)])
-    return AccessPlan(mem, RegionList._wrap(tuple(regions)))
-
-
-@dataclass(frozen=True)
 class FlashSpec:
     """Checkpoint pattern: per-processor blocks of guarded element cubes.
 
@@ -195,10 +116,6 @@ class FlashSpec:
     @property
     def mem_block_bytes(self) -> int:
         return self.cube_side**3 * self.nvars * self.element_size
-
-    @property
-    def buffer_bytes(self) -> int:
-        return self.nblocks * self.mem_block_bytes
 
     @property
     def plan_bytes(self) -> int:
@@ -378,7 +295,7 @@ def oracle_file_image(specs: Sequence, seed: int) -> bytearray:
     return image
 
 
-def flash_counts(spec: FlashSpec, limit: int = 64) -> dict[str, int]:
+def flash_counts(spec: FlashSpec) -> dict[str, int]:
     """Analytic request accounting for the checkpoint pattern.
 
     Every memory region is one element (finer than its 4 KiB file region,
@@ -390,17 +307,17 @@ def flash_counts(spec: FlashSpec, limit: int = 64) -> dict[str, int]:
         "region_bytes": spec.region_bytes,
         "mem_regions": spec.mem_region_count,
         "multiple_requests": spec.mem_region_count,
-        "list_requests": math.ceil(spec.file_region_count / limit),
+        "list_requests": math.ceil(spec.file_region_count / MAX_LIST_REGIONS),
         "plan_bytes": spec.plan_bytes,
     }
 
 
-def tiled_counts(spec: TiledSpec, limit: int = 64) -> dict[str, int]:
+def tiled_counts(spec: TiledSpec) -> dict[str, int]:
     return {
         "file_regions": spec.tile_h,
         "region_bytes": spec.row_bytes,
         "multiple_requests": spec.tile_h,
-        "list_requests": math.ceil(spec.tile_h / limit),
+        "list_requests": math.ceil(spec.tile_h / MAX_LIST_REGIONS),
         "plan_bytes": spec.tile_bytes,
         "file_bytes": spec.file_bytes,
     }

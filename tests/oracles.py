@@ -11,7 +11,7 @@ which is checked against deal_layout on its own.
 from __future__ import annotations
 
 from listio_pfs.regions import (
-    DEFAULT_REGION_LIMIT,
+    MAX_LIST_REGIONS,
     Message,
     Region,
     RegionList,
@@ -59,17 +59,6 @@ def interleave_cyclic(clients: int, total_bytes: int, accesses: int, streams):
     return image
 
 
-def blockblock_owner_bytes(grid: int, side: int, row: int, col: int) -> list[int]:
-    """Global byte offsets owned by one client, by 2-D index iteration."""
-    bs = side // grid
-    owned = []
-    for y in range(side):
-        for x in range(side):
-            if y // bs == row and x // bs == col:
-                owned.append(y * side + x)
-    return owned
-
-
 def offsets_to_regions(offsets: list[int]) -> list[tuple[int, int]]:
     """Collapse sorted byte offsets into maximal (offset, length) runs."""
     regions = []
@@ -96,16 +85,6 @@ def expand_runs(runs) -> list[tuple[int, int]]:
 def region_bytes(regions) -> list[int]:
     """Every byte offset of a region list, in list order."""
     return [off + j for off, n in regions for j in range(n)]
-
-
-def fragment_regions(regions, pieces_each: int) -> list[tuple[int, int]]:
-    """Split each region into equal adjacent pieces."""
-    out = []
-    for off, length in regions:
-        piece = length // pieces_each
-        assert piece * pieces_each == length
-        out.extend((off + j * piece, piece) for j in range(pieces_each))
-    return out
 
 
 def count_windows(regions, window: int) -> int:
@@ -224,7 +203,7 @@ def random_mem_regions(rng, total, max_regions=500):
     return regions, pos
 
 
-def split_by_server_reference(file_regions, sp, limit=DEFAULT_REGION_LIMIT):
+def split_by_server_reference(file_regions, sp, limit=MAX_LIST_REGIONS):
     """regions.split_by_server as it was before its one-stripe fast path:
     every region goes through stripe_chunks."""
     by_slot = {}

@@ -6,11 +6,13 @@ comparisons are byte-for-byte; wall-clock assertions are orderings only.
 
 import math
 import random
+import socket
+import struct
 import threading
 import time
 from fractions import Fraction
 
-from listio_pfs import wire
+from listio_pfs import client, wire
 from listio_pfs.bench import (
     BenchConfig,
     reassemble_file,
@@ -18,7 +20,6 @@ from listio_pfs.bench import (
 )
 from listio_pfs.client import (
     AccessPlan,
-    SievingConfig,
     access_list,
     access_multiple,
     access_sieving_read,
@@ -82,7 +83,7 @@ def test_criterion_1_flash_request_counts(cluster):
     # live run at one-tenth block count; counts tie back by formula
     config = BenchConfig(
         workload="flash", strategies=("multiple", "list", "sieving"),
-        clients=2, flash_blocks=8, reps=1, verify=True, seed=101,
+        clients=2, flash_blocks=8, reps=1, seed=101,
     )
     play = run_matrix(config, cluster)
     assert play.all_verified
@@ -108,7 +109,7 @@ def test_criterion_2_tiled_request_counts(cluster):
 
     config = BenchConfig(
         workload="tiled", strategies=("multiple", "list", "sieving"),
-        clients=6, reps=1, verify=True, seed=102,
+        clients=6, reps=1, seed=102,
     )
     play = run_matrix(config, cluster)
     assert play.all_verified
@@ -189,7 +190,7 @@ def test_criterion_3_oracle_equivalence(cluster):
     report(3, "oracle equivalence", "200 randomized plans, reads+writes, 0 diffs")
 
 
-def test_criterion_4_batching_and_windowing_laws(cluster):
+def test_criterion_4_batching_and_windowing_laws(cluster, monkeypatch):
     sp = StripingParams(0, 8, 16384)
     for count in (1, 63, 64, 65, 768, 1920):
         plan = AccessPlan(
@@ -210,12 +211,11 @@ def test_criterion_4_batching_and_windowing_laws(cluster):
             RegionList(regions),
         )
         window = rng.choice([2048, 16384, 65536, 262144])
+        monkeypatch.setattr(client, "SIEVING_WINDOW", window)
         end = regions[-1][0] + regions[-1][1]
         with pvfs_create(cluster.manager_addr, f"acc4-w-{trial}", sp) as session:
             pvfs_write(session, 0, bytes(end))
-            m = access_sieving_read(session, plan,
-                                    bytearray(plan.total_length),
-                                    SievingConfig(window))
+            m = access_sieving_read(session, plan, bytearray(plan.total_length))
             assert m.logical_requests == count_windows(regions, window)
     report(4, "batching and windowing laws",
            "ceil(R/64) for R in {1,63,64,65,768,1920}; 40 window enumerations")
@@ -258,14 +258,22 @@ def test_criterion_5_wire_bounds():
         assert len(raw) <= 1500
         assert wire.decode_request(raw) == (header, regions)
         round_trips += 1
-    for _ in range(300):
-        rid = rng.getrandbits(64)
-        status = rng.randint(0, 6)
-        payload = rng.randbytes(rng.randint(0, 3000))
-        assert wire.decode_response(
-            wire.encode_response(rid, status, payload)
-        ) == (rid, status, payload)
-        round_trips += 1
+    # responses go through the socket framing; struct packs the expected frame
+    writer, reader = socket.socketpair()
+    try:
+        for _ in range(300):
+            rid = rng.getrandbits(64)
+            status = rng.randint(0, 6)
+            payload = rng.randbytes(rng.randint(0, 3000))
+            wire.send_response(writer, rid, status, payload)
+            frame = struct.pack("<QIQ", rid, status, len(payload)) + payload
+            sent = reader.recv(len(frame), socket.MSG_PEEK | socket.MSG_WAITALL)
+            assert sent == frame
+            assert wire.recv_response(reader) == (rid, status, payload)
+            round_trips += 1
+    finally:
+        writer.close()
+        reader.close()
     assert round_trips >= 1000
     report(5, "wire bounds", f"64-region frame <= 1500; {round_trips} round-trips")
 
@@ -275,7 +283,7 @@ def test_criterion_6_trend_reproduction(cluster):
     config = BenchConfig(
         workload="cyclic", strategies=("multiple", "list", "sieving"),
         clients=8, accesses=accesses, total_bytes=64 * MIB,
-        reps=1, verify=True, seed=106,
+        reps=1, seed=106,
     )
     play = run_matrix(config, cluster)
     assert play.all_verified

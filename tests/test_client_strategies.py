@@ -16,15 +16,12 @@ from listio_pfs import client as client_module
 from listio_pfs import wire
 from listio_pfs.client import (
     AccessPlan,
+    ClientMetrics,
     FileSession,
-    ListIoConfig,
-    SievingConfig,
     access_list,
     access_multiple,
     access_sieving_read,
     access_sieving_write,
-    metrics_snapshot,
-    pvfs_close,
     pvfs_create,
     pvfs_open,
     pvfs_read,
@@ -64,7 +61,7 @@ class TestSessions:
         created = pvfs_create(cluster.manager_addr, name, sp)
         assert created.striping == sp
         assert len(created.roster) == 4
-        pvfs_close(created)
+        created.close()
         opened = pvfs_open(cluster.manager_addr, name)
         assert opened.striping == sp
         assert opened.handle == created.handle
@@ -92,7 +89,6 @@ class TestContiguous:
 
     def test_two_stripes_two_messages(self, cluster, unique_name):
         with prepared_file(cluster, unique_name, b"") as session:
-            metrics_snapshot(session)
             pvfs_write(session, 0, bytes(32768))
             assert session.metrics.server_messages == 2
             assert session.metrics.logical_requests == 1
@@ -118,7 +114,6 @@ class TestContiguous:
 
     def test_zero_length_is_a_noop(self, cluster, unique_name):
         with prepared_file(cluster, unique_name, b"") as session:
-            metrics_snapshot(session)
             assert pvfs_read(session, 0, bytearray(0)) == 0
             assert pvfs_write(session, 0, b"") == 0
             assert session.metrics.server_messages == 0
@@ -127,7 +122,9 @@ class TestContiguous:
 
 class TestStrategyEquivalenceSmall:
     @pytest.mark.parametrize("seed", range(6))
-    def test_reads_match_flat_oracle(self, cluster, unique_name, seed):
+    def test_reads_match_flat_oracle(self, cluster, unique_name, monkeypatch,
+                                     seed):
+        monkeypatch.setattr(client_module, "SIEVING_WINDOW", 1 << 15)
         rng = random.Random(seed)
         file_regions = random_file_regions(rng, max_regions=60, max_size=8192,
                                            max_gap=4096)
@@ -146,8 +143,7 @@ class TestStrategyEquivalenceSmall:
                 pos += ln
             for runner in (
                 lambda b: access_multiple(session, plan, b, "read"),
-                lambda b: access_sieving_read(session, plan, b,
-                                              SievingConfig(1 << 15)),
+                lambda b: access_sieving_read(session, plan, b),
                 lambda b: access_list(session, plan, b, "read"),
             ):
                 buf = bytearray(buflen)
@@ -155,7 +151,9 @@ class TestStrategyEquivalenceSmall:
                 assert buf == expected
 
     @pytest.mark.parametrize("seed", range(6, 10))
-    def test_writes_match_flat_oracle(self, cluster, unique_name, seed):
+    def test_writes_match_flat_oracle(self, cluster, unique_name, monkeypatch,
+                                      seed):
+        monkeypatch.setattr(client_module, "SIEVING_WINDOW", 1 << 14)
         rng = random.Random(seed)
         file_regions = random_file_regions(rng, max_regions=50, max_size=4096,
                                            max_gap=2048)
@@ -171,7 +169,7 @@ class TestStrategyEquivalenceSmall:
         plan.scatter(buf, 0, stream)
         for runner in (
             lambda s: access_multiple(s, plan, buf, "write"),
-            lambda s: access_sieving_write(s, plan, buf, SievingConfig(1 << 14)),
+            lambda s: access_sieving_write(s, plan, buf),
             lambda s: access_list(s, plan, buf, "write"),
         ):
             session = prepared_file(cluster, unique_name, base, sp)
@@ -205,13 +203,13 @@ class TestRequestCounts:
         (1, 64, 1), (63, 64, 1), (64, 64, 1), (65, 64, 2),
         (768, 64, 12), (130, 64, 3), (100, 10, 10),
     ])
-    def test_list_counts_batches(self, cluster, unique_name, regions, limit,
-                                 expected):
+    def test_list_counts_batches(self, cluster, unique_name, monkeypatch,
+                                 regions, limit, expected):
+        monkeypatch.setattr(wire, "MAX_LIST_REGIONS", limit)
         plan = make_plan([(i * 8, 4) for i in range(regions)])
         image = bytes(regions * 8)
         with prepared_file(cluster, unique_name, image) as session:
-            m = access_list(session, plan, bytearray(plan.total_length), "read",
-                            ListIoConfig(limit))
+            m = access_list(session, plan, bytearray(plan.total_length), "read")
             assert m.logical_requests == expected == math.ceil(regions / limit)
 
     def test_list_count_ignores_memory_fragmentation(self, cluster, unique_name):
@@ -234,24 +232,24 @@ class TestRequestCounts:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sieving_window_count_matches_enumerator(self, cluster, unique_name,
-                                                     seed):
+                                                     monkeypatch, seed):
         rng = random.Random(100 + seed)
         file_regions = random_file_regions(rng, max_regions=40, max_size=2048,
                                            max_gap=30000)
         plan = make_plan(file_regions)
         end = file_regions[-1][0] + file_regions[-1][1]
         window = rng.choice([4096, 16384, 65536])
+        monkeypatch.setattr(client_module, "SIEVING_WINDOW", window)
         with prepared_file(cluster, unique_name, bytes(end)) as session:
-            m = access_sieving_read(session, plan,
-                                    bytearray(plan.total_length),
-                                    SievingConfig(window))
+            m = access_sieving_read(session, plan, bytearray(plan.total_length))
             assert m.logical_requests == count_windows(file_regions, window)
             assert m.wire_bytes_read >= m.useful_bytes
 
 
 class TestSieving:
     def test_calls_share_the_session_scratch_until_close(self, cluster,
-                                                         unique_name):
+                                                         unique_name,
+                                                         monkeypatch):
         # Windows of 32 KiB, then of 64 KiB: the scratch grows once, is
         # reused by a write, and is given back on close.
         regions = [(i * 1024, 512) for i in range(96)]
@@ -265,11 +263,13 @@ class TestSieving:
             scratches = []
             for window in (32768, 65536):
                 buf = bytearray(plan.total_length)
-                access_sieving_read(session, plan, buf, SievingConfig(window))
+                monkeypatch.setattr(client_module, "SIEVING_WINDOW", window)
+                access_sieving_read(session, plan, buf)
                 assert buf == wanted
                 scratches.append(session._scratch)
                 assert len(session._scratch) == window
-            access_sieving_write(session, plan, stream, SievingConfig(32768))
+            monkeypatch.setattr(client_module, "SIEVING_WINDOW", 32768)
+            access_sieving_write(session, plan, stream)
             assert session._scratch is scratches[1]
             final = reassemble_file(cluster.storage_roots, session.handle,
                                     session.striping, len(image))
@@ -284,14 +284,14 @@ class TestSieving:
             m = access_sieving_read(session, plan, bytearray(200))
             assert m.logical_requests == 1
 
-    def test_three_windows_for_triple_extent(self, cluster, unique_name):
+    def test_three_windows_for_triple_extent(self, cluster, unique_name,
+                                             monkeypatch):
         # extent 96 KiB, dense regions, 32 KiB windows
+        monkeypatch.setattr(client_module, "SIEVING_WINDOW", 32 * 1024)
         regions = [(i * 1024, 512) for i in range(96)]
         plan = make_plan(regions)
         with prepared_file(cluster, unique_name, bytes(96 * 1024)) as session:
-            m = access_sieving_read(session, plan,
-                                    bytearray(plan.total_length),
-                                    SievingConfig(32 * 1024))
+            m = access_sieving_read(session, plan, bytearray(plan.total_length))
             assert m.logical_requests == 3
 
     def test_single_region_reads_no_waste(self, cluster, unique_name):
@@ -300,19 +300,21 @@ class TestSieving:
             m = access_sieving_read(session, plan, bytearray(4096))
             assert m.wire_bytes_read == m.useful_bytes == 4096
 
-    def test_write_costs_two_per_window(self, cluster, unique_name):
+    def test_write_costs_two_per_window(self, cluster, unique_name, monkeypatch):
         # plan spans two 16 KiB windows
+        monkeypatch.setattr(client_module, "SIEVING_WINDOW", 16384)
         plan = make_plan([(0, 100), (20000, 100)])
         with prepared_file(cluster, unique_name, bytes(20100)) as session:
             buf = bytearray(200)
-            m = access_sieving_write(session, plan, buf, SievingConfig(16384))
+            m = access_sieving_write(session, plan, buf)
             assert m.logical_requests == 4
 
-    def test_fully_covered_window_still_reads_first(self, cluster, unique_name):
+    def test_fully_covered_window_still_reads_first(self, cluster, unique_name,
+                                                    monkeypatch):
+        monkeypatch.setattr(client_module, "SIEVING_WINDOW", 8192)
         plan = make_plan([(0, 8192)])
         with prepared_file(cluster, unique_name, bytes(8192)) as session:
-            m = access_sieving_write(session, plan, bytearray(8192),
-                                     SievingConfig(8192))
+            m = access_sieving_write(session, plan, bytearray(8192))
             assert m.logical_requests == 2
             assert m.wire_bytes_read == 8192
 
@@ -338,6 +340,7 @@ class TestSieving:
     def test_one_plan_move_per_window(self, cluster, unique_name, monkeypatch,
                                       writing, mem, moves):
         # 96 pieces of 512 B over three 32 KiB windows.
+        monkeypatch.setattr(client_module, "SIEVING_WINDOW", 32768)
         regions = [(i * 1024, 512) for i in range(96)]
         plan = make_plan(regions, mem)
         rng = random.Random(7)
@@ -354,7 +357,7 @@ class TestSieving:
                     return _move(self, *args)
                 monkeypatch.setattr(AccessPlan, name, counted)
             access = access_sieving_write if writing else access_sieving_read
-            access(session, plan, buf, SievingConfig(32768))
+            access(session, plan, buf)
             monkeypatch.undo()
             assert calls == ["gather" if writing else "scatter"] * moves
             if writing:
@@ -596,7 +599,7 @@ class TestFanOut:
             assert session.stat() == 64
             assert [s.connections for s in servers] == [2, 2, 2, 1]
 
-    def test_a_slot_over_the_limit_is_served_in_waves(self):
+    def test_a_slot_over_the_limit_is_served_in_waves(self, monkeypatch):
         # Limit 2: slot 1 holds five stripe fragments (three messages), the
         # others four (two each), so the batch goes out in waves of 4, 4, 1.
         # Each stub holds every request a little and counts any that a
@@ -604,10 +607,10 @@ class TestFanOut:
         with _stub_cluster(*[dict(linger=0.005)] * 4) as (servers, session):
             plan = make_plan([(0, 256), (272, 8)])
             data = random.Random(5).randbytes(plan.total_length)
-            cfg = ListIoConfig(region_limit=2)
-            wrote = access_list(session, plan, data, "write", cfg)
+            monkeypatch.setattr(wire, "MAX_LIST_REGIONS", 2)
+            wrote = access_list(session, plan, data, "write")
             buf = bytearray(plan.total_length)
-            read = access_list(session, plan, buf, "read", cfg)
+            read = access_list(session, plan, buf, "read")
             assert buf == data
             assert (wrote.logical_requests, wrote.server_messages) == (1, 9)
             assert (read.logical_requests, read.server_messages) == (1, 9)
@@ -640,24 +643,13 @@ class TestListApi:
 
 
 class TestMetrics:
-    def test_snapshot_returns_and_resets(self, cluster, unique_name):
-        with prepared_file(cluster, unique_name, bytes(4096)) as session:
-            metrics_snapshot(session)
-            assert metrics_snapshot(session).logical_requests == 0
-            pvfs_read(session, 0, bytearray(1024))
-            snap = metrics_snapshot(session)
-            assert snap.logical_requests == 1
-            assert snap.useful_bytes == 1024
-            assert session.metrics.logical_requests == 0
-
     def test_counters_additive_across_plans(self, cluster, unique_name):
         plan_a = make_plan([(0, 256)])
         plan_b = make_plan([(4096, 256), (8192, 256)])
         with prepared_file(cluster, unique_name, bytes(9000)) as session:
-            metrics_snapshot(session)
+            total = session.metrics = ClientMetrics()  # drop the preparation
             m1 = access_multiple(session, plan_a, bytearray(256), "read")
             m2 = access_multiple(session, plan_b, bytearray(512), "read")
-            total = metrics_snapshot(session)
             assert total.logical_requests == m1.logical_requests + m2.logical_requests
             assert total.useful_bytes == m1.useful_bytes + m2.useful_bytes == 768
             assert total.wire_bytes_read == m1.wire_bytes_read + m2.wire_bytes_read

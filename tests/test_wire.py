@@ -41,6 +41,24 @@ region_lists = st.lists(
 ).map(RegionList)
 
 
+def response_frame(rid, status, payload=b""):
+    """A response as PROTOCOL.md lays it out, packed field by field."""
+    return struct.pack("<QIQ", rid, status, len(payload)) + payload
+
+
+def sent_response(rid, status, payload=b""):
+    """The bytes send_response puts on a socket, and recv_response's result
+    for them, over a socketpair."""
+    writer, reader = socket.socketpair()
+    try:
+        wire.send_response(writer, rid, status, payload)
+        raw = reader.recv(len(payload) + 64, socket.MSG_PEEK | socket.MSG_WAITALL)
+        return raw, wire.recv_response(reader)
+    finally:
+        writer.close()
+        reader.close()
+
+
 def list_header(regions, opcode=wire.READ_LIST, rid=1):
     return wire.IoRequestHeader(
         opcode, request_id=rid, file_handle=1,
@@ -93,23 +111,32 @@ class TestRoundTrip:
     @given(rid=u64, status=st.integers(0, 6), payload=st.binary(max_size=5000))
     @settings(max_examples=200)
     def test_responses(self, rid, status, payload):
-        raw = wire.encode_response(rid, status, payload)
-        assert wire.decode_response(raw) == (rid, status, payload)
+        raw, got = sent_response(rid, status, payload)
+        assert raw == response_frame(rid, status, payload)
+        assert got == (rid, status, payload)
 
 
 class TestResponses:
     def test_empty_payload_is_prefix_only(self):
-        raw = wire.encode_response(7, wire.STATUS_OK)
+        raw, _got = sent_response(7, wire.STATUS_OK)
+        assert raw == response_frame(7, wire.STATUS_OK)
         assert len(raw) == wire.RESPONSE_PREFIX_SIZE
 
     def test_payload_follows_prefix(self):
-        raw = wire.encode_response(7, wire.STATUS_OK, bytes(4096))
+        raw, _got = sent_response(7, wire.STATUS_OK, bytes(4096))
+        assert raw == response_frame(7, wire.STATUS_OK, bytes(4096))
         assert len(raw) == wire.RESPONSE_PREFIX_SIZE + 4096
 
     def test_truncated_payload_rejected(self):
-        raw = wire.encode_response(7, wire.STATUS_OK, b"abcd")
-        with pytest.raises(ProtocolError):
-            wire.decode_response(raw[:-1])
+        writer, reader = socket.socketpair()
+        try:
+            writer.sendall(response_frame(7, wire.STATUS_OK, b"abcd")[:-1])
+            writer.close()
+            with pytest.raises(ProtocolError):
+                wire.recv_response(reader)
+        finally:
+            writer.close()
+            reader.close()
 
     @pytest.mark.parametrize("error, status, raised", [
         (ExistsError, 1, ExistsError),
@@ -452,7 +479,7 @@ class TestFraming:
                                + b"abcdefgh")]
         sock = _FakeSocket()
         wire.send_response(sock, 3, wire.STATUS_OK, b"abcdefgh")
-        assert sock.calls == [("sendmsg", wire.encode_response(
+        assert sock.calls == [("sendmsg", response_frame(
             3, wire.STATUS_OK, b"abcdefgh"))]
 
     @pytest.mark.parametrize("accept", [0, 10, 63, 64, 70, 71])
@@ -531,7 +558,7 @@ class TestPieces:
     def test_a_peer_closing_mid_view_is_a_protocol_error(self):
         writer, reader = socket.socketpair()
         try:
-            writer.sendall(wire.encode_response(3, wire.STATUS_OK, b"y" * 100)[:-60])
+            writer.sendall(response_frame(3, wire.STATUS_OK, b"y" * 100)[:-60])
             writer.close()
             with pytest.raises(ProtocolError, match="after 40 of 100 bytes"):
                 wire.recv_response(reader, out=memoryview(bytearray(100)))

@@ -3,7 +3,6 @@ import pytest
 from listio_pfs.errors import WorkloadError
 from listio_pfs.regions import Region, count_transfer_pieces, extent
 from listio_pfs.workloads import (
-    BlockBlockSpec,
     CyclicSpec,
     FlashSpec,
     TiledSpec,
@@ -12,7 +11,6 @@ from listio_pfs.workloads import (
     flash_counts,
     flash_file_regions,
     flash_mem_regions,
-    gen_blockblock,
     gen_cyclic,
     gen_flash,
     gen_tiled,
@@ -21,11 +19,8 @@ from listio_pfs.workloads import (
 )
 
 from oracles import (
-    blockblock_owner_bytes,
     flash_reference_layout,
-    fragment_regions,
     interleave_cyclic,
-    offsets_to_regions,
     region_byte_set,
     tiled_reference_rows,
 )
@@ -66,48 +61,6 @@ class TestCyclic:
             assert not (seen & bytes_here)
             seen |= bytes_here
         assert seen == set(range(4096))
-
-
-class TestBlockBlock:
-    def test_small_grid_matches_2d_oracle(self):
-        # 8x8 byte array, 2x2 grid: client (0,0) owns rows 0..3 x cols 0..3
-        spec = BlockBlockSpec(grid=2, row=0, col=0, side_bytes=8, accesses=4)
-        plan = gen_blockblock(spec)
-        owned = blockblock_owner_bytes(2, 8, 0, 0)
-        rows = offsets_to_regions(owned)
-        expected = fragment_regions(rows, spec.pieces_per_row)
-        assert [(r.offset, r.length) for r in plan.file] == expected
-        assert len(plan.file) == 4  # region count equals access count
-
-    def test_fragmented_rows_match_oracle(self):
-        spec = BlockBlockSpec(grid=2, row=1, col=0, side_bytes=16, accesses=16)
-        plan = gen_blockblock(spec)
-        rows = offsets_to_regions(blockblock_owner_bytes(2, 16, 1, 0))
-        expected = fragment_regions(rows, spec.pieces_per_row)
-        assert [(r.offset, r.length) for r in plan.file] == expected
-        assert len(plan.file) == 16
-
-    def test_one_piece_per_row(self):
-        spec = BlockBlockSpec(grid=2, row=0, col=1, side_bytes=8, accesses=4)
-        plan = gen_blockblock(spec)
-        assert len(plan.file) == spec.block_side
-        assert all(r.length == spec.block_side for r in plan.file)
-
-    def test_divisibility_enforced(self):
-        with pytest.raises(WorkloadError):
-            BlockBlockSpec(grid=2, row=0, col=0, side_bytes=10, accesses=4)
-        with pytest.raises(WorkloadError):
-            BlockBlockSpec(grid=2, row=0, col=0, side_bytes=8, accesses=3)
-
-    def test_partition_across_clients(self):
-        specs = client_specs(BlockBlockSpec(2, 0, 0, side_bytes=16, accesses=8))
-        seen = set()
-        for spec in specs:
-            plan = gen_blockblock(spec)
-            here = region_byte_set([(r.offset, r.length) for r in plan.file])
-            assert not (seen & here)
-            seen |= here
-        assert seen == set(range(256))
 
 
 class TestFlash:
@@ -225,7 +178,7 @@ class TestPlanBalance:
         "spec",
         [
             CyclicSpec(4, 1, total_bytes=4096, accesses=16),
-            BlockBlockSpec(2, 1, 1, side_bytes=16, accesses=16),
+            CyclicSpec(8, 7, total_bytes=8192, accesses=1),
             FlashSpec(procs=2, proc_id=1, nblocks=2, nb=2, guard=1, nvars=3),
             TiledSpec(tile_x=1, tile_y=1),
         ],
@@ -241,10 +194,6 @@ class TestFragmentationLaw:
     def test_region_count_equals_accesses(self, accesses):
         cyclic = gen_cyclic(CyclicSpec(4, 0, total_bytes=65536, accesses=accesses))
         assert len(cyclic.file) == accesses
-        bb = gen_blockblock(
-            BlockBlockSpec(2, 0, 0, side_bytes=64, accesses=accesses)
-        )
-        assert len(bb.file) == accesses
 
 
 class TestOracleImage:
