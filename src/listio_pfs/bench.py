@@ -381,7 +381,7 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
                 )
             plans = [s.generate() for s in specs]
             name = specs[0].name
-            image = workloads.oracle_file_image(specs, config.seed)
+            image = workloads.oracle_file_image(specs, plans, config.seed)
             read_file: tuple[str, int] | None = None
             for strategy in config.strategies:
                 run_id = f"{run_tag}.{len(cells) + 1}"

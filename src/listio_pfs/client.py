@@ -278,10 +278,11 @@ class _Channel:
              payload=None) -> int:
         """Send one request; returns its request id."""
         rid = self.owed = next(self._rid)
-        header = wire.IoRequestHeader(
+        # tuple.__new__ skips namedtuple's Python-level __new__.
+        header = tuple.__new__(wire.IoRequestHeader, (
             opcode, rid, handle, offset, length,
-            0 if regions is None else len(regions),
-        )
+            0 if regions is None else len(regions), 0, wire.MAGIC, wire.VERSION,
+        ))
         wire.send_request(self.sock, header, regions, payload)
         return rid
 
@@ -462,27 +463,41 @@ def _exchange(session: FileSession, opcode: int, file_regions, view) -> None:
     is the only code that sends data requests to daemons and the only code
     that counts them.
 
-    A read whose bytes lie in few enough pieces of the view is received
-    straight into them; any other read is received whole and moved in. A
-    write of one back-to-back run is sent from the view; any other write's
-    payload is copied out run by run just before it is sent. A failure
-    leaves each channel that did not return its whole reply owing it, and
+    A contiguous request inside one stripe is one message, sent from the
+    view or received into it, with no fan-out. Otherwise a read whose bytes
+    lie in few enough pieces of the view is received straight into them;
+    any other read is received whole and moved in. A write of one
+    back-to-back run is sent from the view; any other write's payload is
+    copied out run by run just before it is sent. A failure leaves each
+    channel that did not return its whole reply owing it, and
     FileSession._channel replaces such a channel before its next use.
     A request with a message over wire.MAX_PAYLOAD raises ValueError
     before any message is sent.
     """
-    if not len(view):
+    length = len(view)
+    if not length:
         return
+    sp = session.striping
     listed = opcode in wire.LIST_OPCODES
-    reading = opcode in wire.READ_OPCODES
-    messages = fan_out(file_regions, session.striping,
-                       wire.MAX_LIST_REGIONS if listed else None)
-    if len(view) > wire.MAX_PAYLOAD:  # else no message can be over the cap
-        for message in messages:
+    limit = wire.MAX_LIST_REGIONS if listed else None
+    if length > wire.MAX_PAYLOAD:  # else no message can be over the cap
+        for message in fan_out(file_regions, sp, limit):
             if message.regions.total_length > wire.MAX_PAYLOAD:
                 raise ValueError(wire.over_cap(message.regions.total_length))
+    reading = opcode in wire.READ_OPCODES
     m = session.metrics
     m.logical_requests += 1
+    if not listed:
+        k, within = divmod(file_regions[0][0], sp.ssize)
+        if within + length <= sp.ssize:  # inside one stripe: one message
+            channel = session._channel((sp.base + k) % sp.pcount)
+            rid = channel.send(opcode, session.handle,
+                               k // sp.pcount * sp.ssize + within, length,
+                               None, None if reading else view)
+            _counted(m, opcode, channel.receive(rid, view if reading else None),
+                     length)
+            return
+    messages = fan_out(file_regions, sp, limit)
     # A contiguous request involves each daemon at most once: one wave.
     for wave in _waves(messages) if listed else (messages,):
         sent = []
@@ -503,17 +518,23 @@ def _exchange(session: FileSession, opcode: int, file_regions, view) -> None:
             sent.append((channel, rid, out, total, runs))
         for channel, rid, out, total, runs in sent:
             reply = channel.receive(rid, out)
-            if reading:
-                got = reply if out is not None else len(reply)
-                if got != total:
-                    raise ProtocolError(f"{wire.OPCODE_NAMES[opcode]} "
-                                        f"returned {got} of {total} bytes")
-                if out is None:
-                    _move(runs, view, 0, memoryview(reply), True)
-                m.wire_bytes_read += total
-            else:
-                m.wire_bytes_written += total
-            m.server_messages += 1
+            _counted(m, opcode, reply, total)
+            if reading and out is None:
+                _move(runs, view, 0, memoryview(reply), True)
+
+
+def _counted(m: ClientMetrics, opcode: int, reply, total: int) -> None:
+    """Count one daemon message of `total` data bytes, once a read's reply
+    (the length received in place, or the bytes) is checked to hold them."""
+    if opcode in wire.READ_OPCODES:
+        got = reply if type(reply) is int else len(reply)
+        if got != total:
+            raise ProtocolError(f"{wire.OPCODE_NAMES[opcode]} "
+                                f"returned {got} of {total} bytes")
+        m.wire_bytes_read += total
+    else:
+        m.wire_bytes_written += total
+    m.server_messages += 1
 
 
 def _accounted(session: FileSession, useful_bytes: int, body, *args) -> ClientMetrics:

@@ -273,13 +273,11 @@ def fan_out(
         return split_by_server(file_regions, sp, limit)
     ((offset, length),) = file_regions
     ssize, pcount = sp.ssize, sp.pcount
-    k0, within = divmod(offset, ssize)
-    k1 = (offset + length - 1) // ssize
-    if k0 == k1 or pcount == 1:  # one run: one stripe, or one server
-        span = Region((k0 // pcount) * ssize + within, length)
-        return [Message((sp.base + k0) % pcount,
-                        RegionList._wrap((span,), length),
+    if pcount == 1:  # one server, whose local file is the whole file
+        return [Message(0, RegionList._wrap((Region(offset, length),), length),
                         [(0, 0, length, length, 1)])]
+    k0 = offset // ssize
+    k1 = (offset + length - 1) // ssize
     # A server's stripes are every pcount-th stripe from its first one and
     # sit back to back in its local file. So its share of the range is one
     # local span, and its runs are a partial first stripe, its whole

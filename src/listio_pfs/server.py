@@ -309,27 +309,24 @@ class StripeStore:
                 fd = os.open(self.path(handle), os.O_RDWR | os.O_CREAT, 0o644)
                 self._files[handle] = (fd, threading.Lock())
 
-    def _file(self, handle: int) -> tuple[int, threading.Lock]:
+    def file(self, handle: int) -> tuple[int, threading.Lock]:
+        """The descriptor and request lock of an attached handle."""
         entry = self._files.get(handle)
         if entry is None:
             raise NotFoundError(f"handle {handle} not attached to this daemon")
         return entry
 
-    def lock(self, handle: int) -> threading.Lock:
-        """The request lock of an attached handle."""
-        return self._file(handle)[1]
-
     def pread(self, handle: int, offset: int, out) -> None:
         """Fill the writable view `out` from `offset`; holes read as zeros,
         and so does a tail past the end of the file."""
-        got = os.preadv(self._file(handle)[0], (out,), offset)
+        got = os.preadv(self.file(handle)[0], (out,), offset)
         while got < len(out):
             n = min(len(out) - got, len(_ZEROS))
             out[got : got + n] = _ZEROS[:n]
             got += n
 
     def pwrite(self, handle: int, offset: int, data) -> None:
-        fd = self._file(handle)[0]
+        fd = self.file(handle)[0]
         view = memoryview(data)
         pos = offset
         while view:
@@ -338,7 +335,7 @@ class StripeStore:
             view = view[written:]
 
     def size(self, handle: int) -> int:
-        return os.fstat(self._file(handle)[0]).st_size
+        return os.fstat(self.file(handle)[0]).st_size
 
     def close(self) -> None:
         with self._lock:
@@ -400,8 +397,9 @@ class IoDaemon(_Endpoint):
         """Fill the view `out` with the bytes of the server-local (offset,
         length) regions, in order; `out` is as long as they are together."""
         store = self.store
+        _fd, lock = store.file(handle)
         pos = 0
-        with store.lock(handle):
+        with lock:
             for offset, length in regions:
                 store.pread(handle, offset, out[pos : pos + length])
                 pos += length
@@ -416,15 +414,16 @@ class IoDaemon(_Endpoint):
                 f"payload is {len(data)} bytes but regions total {total}"
             )
         store = self.store
+        _fd, lock = store.file(handle)
         view = memoryview(data)
         pos = 0
-        with store.lock(handle):
+        with lock:
             for offset, length in regions:
                 store.pwrite(handle, offset, view[pos : pos + length])
                 pos += length
 
     def local_size(self, handle: int) -> int:
-        with self.store.lock(handle):
+        with self.store.file(handle)[1]:
             return self.store.size(handle)
 
     # -- wire dispatch -----------------------------------------------------

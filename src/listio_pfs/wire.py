@@ -170,8 +170,9 @@ def decode_header(data) -> IoRequestHeader:
             )
     elif rcount:
         raise ProtocolError("region_count must be zero for non-list opcodes")
-    return IoRequestHeader(opcode, rid, handle, offset, length, rcount, flags,
-                           magic, version)
+    # tuple.__new__ skips namedtuple's Python-level __new__.
+    return tuple.__new__(IoRequestHeader, (opcode, rid, handle, offset, length,
+                                           rcount, flags, magic, version))
 
 
 def decode_request(
@@ -291,20 +292,31 @@ def unpack_u32(data) -> int:
 
 def read_exact(sock: socket.socket, n: int, allow_eof: bool = False) -> bytes | None:
     """Read exactly n bytes, 1 MiB at most per recv so that a length a peer
-    declares is never allocated up front; None on clean EOF if allow_eof."""
-    if n == 0:
-        return b""
+    declares is never allocated up front; None on clean EOF if allow_eof.
+    A first recv that returns all n bytes is returned as it is."""
     chunks = []
     got = 0
     while got < n:
         chunk = sock.recv(min(n - got, 1 << 20))
+        if len(chunk) == n:
+            return chunk
         if not chunk:
             if allow_eof and got == 0:
                 return None
             raise ProtocolError(f"connection closed after {got} of {n} bytes")
         chunks.append(chunk)
         got += len(chunk)
-    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+    return b"".join(chunks)
+
+
+def read_into(sock: socket.socket, view, n: int) -> None:
+    """Fill the first n bytes of the writable view from the socket."""
+    got = 0
+    while got < n:
+        r = sock.recv_into(view[got:] if got else view, n - got)
+        if not r:
+            raise ProtocolError(f"connection closed after {got} of {n} bytes")
+        got += r
 
 
 def read_into_pieces(sock: socket.socket, pieces, n: int) -> None:
@@ -377,12 +389,7 @@ def recv_request(
     if n > MAX_PAYLOAD:
         return header, trailing, None
     data = buffer(n)
-    got = 0
-    while got < n:
-        r = sock.recv_into(data[got:])
-        if not r:
-            raise ProtocolError(f"connection closed after {got} of {n} bytes")
-        got += r
+    read_into(sock, data, n)
     return header, trailing, data
 
 
@@ -400,14 +407,16 @@ def recv_response(
     prefix = read_exact(sock, RESPONSE_PREFIX_SIZE)
     request_id, status, payload_length = decode_response_prefix(prefix)
     if out is not None and status == STATUS_OK:
-        if not isinstance(out, list):
-            out = [out]
-        room = sum(map(len, out))
+        listed = isinstance(out, list)
+        room = sum(map(len, out)) if listed else len(out)
         if payload_length > room:
             raise ProtocolError(
                 f"response payload {payload_length} exceeds buffer {room}"
             )
-        read_into_pieces(sock, out, payload_length)
+        if listed:
+            read_into_pieces(sock, out, payload_length)
+        else:
+            read_into(sock, out, payload_length)
         return request_id, status, payload_length
     payload = read_exact(sock, payload_length) if payload_length else b""
     return request_id, status, payload

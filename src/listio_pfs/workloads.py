@@ -271,8 +271,9 @@ def client_stream(seed: int, workload: str, client_id: int, nbytes: int) -> byte
     return random.Random(f"{seed}:{workload}:{client_id}").randbytes(nbytes)
 
 
-def oracle_file_image(specs: Sequence, seed: int) -> bytearray:
-    """Flat ground-truth image of the whole file for a set of client specs.
+def oracle_file_image(specs: Sequence, plans: Sequence, seed: int) -> bytearray:
+    """Flat ground-truth image of the whole file for a set of client specs
+    and the plans they generated, in the same order.
 
     Partitioning workloads scatter each client's deterministic stream into
     its file regions, so every byte's owner is recomputable. The tiled
@@ -285,8 +286,7 @@ def oracle_file_image(specs: Sequence, seed: int) -> bytearray:
     if name == "tiled":
         image[:] = random.Random(f"{seed}:tiled:file").randbytes(len(image))
         return image
-    for spec in specs:
-        plan = spec.generate()
+    for spec, plan in zip(specs, plans):
         data = client_stream(seed, name, spec.client_id, plan.total_length)
         pos = 0
         for r in plan.file:

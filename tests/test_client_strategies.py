@@ -31,7 +31,7 @@ from listio_pfs.client import (
     _move,
 )
 from listio_pfs.errors import NotFoundError, PlanError, ProtocolError
-from listio_pfs.regions import RegionList, StripingParams, strided_runs
+from listio_pfs.regions import RegionList, StripingParams, fan_out, strided_runs
 from listio_pfs.bench import reassemble_file
 from listio_pfs.workloads import FlashSpec, gen_flash
 
@@ -382,7 +382,8 @@ class _StubDaemon(socketserver.BaseRequestHandler):
     data request is held that many seconds and counted in
     `server.overlaps` if another request followed it on its connection
     before the reply. It counts connections, the ones the client closed,
-    and data requests."""
+    and data requests, and logs each READ and WRITE in `server.log` as
+    (opcode, local offset, length)."""
 
     def handle(self):
         server, sock = self.server, self.request
@@ -410,6 +411,8 @@ class _StubDaemon(socketserver.BaseRequestHandler):
                     server.overlaps += 1
             except BlockingIOError:
                 pass
+        if op in (wire.READ, wire.WRITE):
+            server.log.append((op, header.offset, header.length))
         store = server.store
         if op == wire.STAT:
             return wire.STATUS_OK, wire.pack_u64(len(store))
@@ -463,7 +466,7 @@ def _stub_cluster(*stubs, pcount=None):
             vars(server).update(
                 dict(skew=0, refuse_open=False, faults=None, fail_status=None,
                      barrier=None, linger=0, store=bytearray(), connections=0,
-                     hangups=0, requests=0, overlaps=0), **attrs)
+                     hangups=0, requests=0, overlaps=0, log=[]), **attrs)
             thread = threading.Thread(target=server.serve_forever,
                                       args=(0.05,), daemon=True)
             thread.start()
@@ -616,6 +619,111 @@ class TestFanOut:
             assert (read.logical_requests, read.server_messages) == (1, 9)
             assert [server.requests for server in servers] == [4, 6, 4, 4]
             assert [server.overlaps for server in servers] == [0] * 4
+
+
+@pytest.fixture(scope="module")
+def five_stubs():
+    """Five _StubDaemons kept for a module's tests; yields their servers."""
+    with _stub_cluster(*[{} for _ in range(5)]) as (servers, _session):
+        yield servers
+
+
+# A contiguous request near a stripe edge: (stripe index, offset in it,
+# where it ends, length if it ends inside the stripe). It ends inside the
+# stripe, exactly on its edge, or one byte past it.
+edge_requests = st.tuples(st.integers(0, 11), st.integers(0, 6),
+                          st.sampled_from(["inside", "edge", "past"]),
+                          st.integers(1, 6))
+
+
+class TestOneStripe:
+    """A contiguous request inside one stripe is one message to one daemon,
+    sent from the caller's view or received into it."""
+
+    @given(pcount=st.integers(1, 5), base=st.integers(0, 4),
+           ssize=st.integers(1, 7), request=edge_requests,
+           reading=st.booleans(), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_fan_out(self, five_stubs, pcount, base, ssize,
+                                 request, reading, seed):
+        stripe, within, end, extra = request
+        within = min(within, ssize - 1)
+        length = {"inside": min(extra, ssize - within),
+                  "edge": ssize - within, "past": ssize - within + 1}[end]
+        offset = stripe * ssize + within
+        sp = StripingParams(base % pcount, pcount, ssize)
+        rng = random.Random(seed)
+        image = bytearray(rng.randbytes(14 * ssize))
+        for server in five_stubs:
+            server.store, server.log = bytearray(), []
+        roster = ["%s:%d" % s.server_address for s in five_stubs[:pcount]]
+        session = FileSession(_NoManager(), "stub", 1, sp, roster)
+        try:
+            pvfs_write(session, 0, image)
+            for server in five_stubs:
+                server.log = []
+            session.metrics = ClientMetrics()
+            if reading:
+                out = bytearray(b"\xee" * length)
+                pvfs_read(session, offset, out)
+                assert out == image[offset : offset + length]
+            else:
+                data = rng.randbytes(length)
+                pvfs_write(session, offset, data)
+                image[offset : offset + length] = data
+            messages = fan_out(((offset, length),), sp)
+            m = session.metrics
+            assert (m.logical_requests, m.server_messages) == (1, len(messages))
+            assert (m.wire_bytes_read, m.wire_bytes_written) == (
+                (length, 0) if reading else (0, length))
+            opcode = wire.READ if reading else wire.WRITE
+            want = [[] for _ in five_stubs]
+            for message in messages:
+                (region,) = message.regions
+                want[message.slot].append((opcode, region.offset,
+                                           region.length))
+            assert [server.log for server in five_stubs] == want
+            if end != "past":
+                assert len(messages) == 1
+            whole = bytearray(len(image))
+            pvfs_read(session, 0, whole)
+            assert whole == image
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("fault, raised, match", [
+        (dict(skew=-1), ProtocolError, "READ returned 7 of 8 bytes"),
+        (dict(fail_status=wire.STATUS_NOT_FOUND), NotFoundError, "injected"),
+    ])
+    def test_a_failed_reply_leaves_the_next_access_whole(self, fault, raised,
+                                                          match):
+        with _stub_cluster(dict(faults=1, **fault)) as ((server,), session):
+            image = bytes(range(32))
+            pvfs_write(session, 0, image)
+            with pytest.raises(raised, match=match):
+                pvfs_read(session, 4, bytearray(8))
+            buf = bytearray(8)
+            pvfs_read(session, 4, buf)
+            assert buf == image[4:12]
+            # The failed reply was read whole, so its channel was kept.
+            assert server.connections == 1
+            # The write and the good read count a message each, the failed
+            # read none.
+            m = session.metrics
+            assert (m.logical_requests, m.server_messages) == (3, 2)
+            assert m.wire_bytes_read == 8
+
+    @pytest.mark.parametrize("reading", [True, False])
+    def test_over_the_cap_raises_before_sending(self, monkeypatch, reading):
+        with _stub_session() as (server, session):
+            monkeypatch.setattr(wire, "MAX_PAYLOAD", 8)
+            with pytest.raises(ValueError, match="12 bytes is over the 8-byte"):
+                if reading:
+                    pvfs_read(session, 2, bytearray(12))
+                else:
+                    pvfs_write(session, 2, bytes(12))
+            assert (server.connections, server.requests) == (0, 0)
+            assert session.metrics.logical_requests == 0
 
 
 class TestListApi:

@@ -281,12 +281,16 @@ class TestTransferPieces:
             list(iter_transfer_pieces(RegionList([(0, 10)]), RegionList([(0, 11)])))
 
     def test_flash_default_piece_count(self):
-        spec = FlashSpec(procs=1, proc_id=0)
-        from listio_pfs.workloads import flash_mem_regions
+        from listio_pfs.workloads import flash_counts, flash_mem_regions
 
+        assert flash_counts(FlashSpec(procs=1, proc_id=0))[
+            "multiple_requests"] == 983040
+        # The walk is matched to the formula on a small cube; criterion 1
+        # and TestCli::test_verify_counts walk the default one.
+        small = FlashSpec(procs=1, proc_id=0, nblocks=2, nvars=2)
         assert count_transfer_pieces(
-            flash_mem_regions(spec), flash_file_regions(spec)
-        ) == 983040
+            flash_mem_regions(small), flash_file_regions(small)
+        ) == flash_counts(small)["multiple_requests"] == 2048
 
     @given(
         mem_cuts=st.lists(st.integers(1, 50), min_size=1, max_size=20),

@@ -566,6 +566,46 @@ class TestPieces:
             writer.close()
             reader.close()
 
+    def test_one_view_takes_no_byte_of_the_next_reply(self):
+        buffer = bytearray(b"\xee" * 16)
+        writer, reader = socket.socketpair()
+        try:
+            wire.send_response(writer, 2, wire.STATUS_OK, b"x" * 10)
+            wire.send_response(writer, 3, wire.STATUS_OK, b"y" * 4)
+            assert wire.recv_response(reader, out=memoryview(buffer)) == (
+                2, wire.STATUS_OK, 10)
+            assert wire.recv_response(reader) == (3, wire.STATUS_OK, b"y" * 4)
+        finally:
+            writer.close()
+            reader.close()
+        assert buffer == b"x" * 10 + b"\xee" * 6
+
+    def test_a_reply_larger_than_one_view_is_rejected_unread(self):
+        buffer = bytearray(10)
+        writer, reader = socket.socketpair()
+        try:
+            wire.send_response(writer, 2, wire.STATUS_OK, b"x" * 11)
+            with pytest.raises(ProtocolError, match="payload 11 exceeds buffer 10"):
+                wire.recv_response(reader, out=memoryview(buffer))
+            # Only the prefix was read; the payload is still queued.
+            assert reader.recv(64, socket.MSG_DONTWAIT) == b"x" * 11
+        finally:
+            writer.close()
+            reader.close()
+        assert buffer == bytearray(10)
+
+    def test_an_error_reply_leaves_one_view_untouched(self):
+        buffer = bytearray(b"\xee" * 12)
+        writer, reader = socket.socketpair()
+        try:
+            wire.send_response(writer, 2, wire.STATUS_NOT_FOUND, b"gone")
+            assert wire.recv_response(reader, out=memoryview(buffer)) == (
+                2, wire.STATUS_NOT_FOUND, b"gone")
+        finally:
+            writer.close()
+            reader.close()
+        assert buffer == b"\xee" * 12
+
     @pytest.mark.parametrize("length", [0, 5, 9, 10])
     def test_a_reply_no_larger_than_the_pieces_fills_their_start(self, length):
         buffer = bytearray(12)

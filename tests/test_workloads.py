@@ -72,11 +72,14 @@ class TestFlash:
         assert counts["multiple_requests"] == 983040
         assert counts["list_requests"] == 30
         assert counts["plan_bytes"] == 7864320
-        # formula values vs the streaming generators
         assert sum(1 for _ in flash_file_regions(spec)) == 1920
+        # formula vs the streaming generators' piece walk, on a small cube:
+        # the default's 983,040 pieces are walked by criterion 1 and by
+        # TestCli::test_verify_counts
+        small = FlashSpec(procs=1, proc_id=0, nblocks=2, nvars=2)
         assert count_transfer_pieces(
-            flash_mem_regions(spec), flash_file_regions(spec)
-        ) == 983040
+            flash_mem_regions(small), flash_file_regions(small)
+        ) == flash_counts(small)["multiple_requests"] == 2048
 
     def test_trivial_case(self):
         spec = FlashSpec(procs=1, proc_id=0, nblocks=1, nvars=1)
@@ -199,21 +202,23 @@ class TestFragmentationLaw:
 class TestOracleImage:
     def test_deterministic(self):
         specs = client_specs(CyclicSpec(2, 0, total_bytes=2048, accesses=4))
-        assert oracle_file_image(specs, 9) == oracle_file_image(specs, 9)
-        assert oracle_file_image(specs, 9) != oracle_file_image(specs, 10)
+        plans = [s.generate() for s in specs]
+        assert (oracle_file_image(specs, plans, 9)
+                == oracle_file_image(specs, plans, 9))
+        assert (oracle_file_image(specs, plans, 9)
+                != oracle_file_image(specs, plans, 10))
 
     def test_cyclic_image_equals_independent_interleave(self):
         n, total, accesses = 4, 8192, 16
         specs = client_specs(CyclicSpec(n, 0, total_bytes=total, accesses=accesses))
-        image = oracle_file_image(specs, 3)
+        image = oracle_file_image(specs, [s.generate() for s in specs], 3)
         streams = [client_stream(3, "cyclic", c, total // n) for c in range(n)]
         assert image == interleave_cyclic(n, total, accesses, streams)
 
     def test_tiled_byte_zero_belongs_to_origin_tile(self):
         specs = client_specs(TiledSpec(tile_x=0, tile_y=0))
-        image = oracle_file_image(specs, 1)
+        plans = [s.generate() for s in specs]
+        image = oracle_file_image(specs, plans, 1)
         assert len(image) == 10695168
-        plan = specs[0].generate()
-        assert plan.file[0].offset == 0  # tile (0,0) owns byte 0
-        others = [s.generate() for s in specs[1:]]
-        assert all(p.file[0].offset != 0 for p in others)
+        assert plans[0].file[0].offset == 0  # tile (0,0) owns byte 0
+        assert all(p.file[0].offset != 0 for p in plans[1:])
