@@ -1,9 +1,10 @@
 """Client library: file sessions, the list API, and the access strategies.
 
 A FileSession talks to the manager for metadata and the token, and directly
-to the I/O daemons for data. Every data request goes through one executor,
-_exchange: it takes an opcode, sorted file regions and a view holding their
-bytes in file order, fans the request out per server with regions.fan_out,
+to the I/O daemons for data. Every data request goes through one executor:
+_contiguous takes a READ or WRITE at a file offset and sends it as one
+message when it lies in one stripe, else fans it out per server with
+regions.fan_out; _exchange sends a fanned-out request's messages in waves,
 moves the bytes, checks reply lengths and counts the traffic. The three
 strategies differ only in the logical requests they hand it:
 
@@ -14,7 +15,13 @@ strategies differ only in the logical requests they hand it:
                     writes overlay the window and WRITE it back
                     (read-modify-write under the manager's per-file token);
 * list I/O        - one READ_LIST/WRITE_LIST per batch of up to 64 file
-                    regions, carried as trailing data.
+                    regions, carried as trailing data. A plan fans its
+                    batches out once per striping and keeps the messages.
+
+Plan bytes move between buffer and messages with _move, which copies each
+strided run the range covers whole in one tight loop. An AccessPlan keeps
+what it builds on first use, so it is immutable once used. Every API call
+counts its buffer in bytes, whatever the buffer's item size.
 
 All strategies move byte-identical data; they differ in request counts and
 in how much unwanted data crosses the wire, which ClientMetrics records.
@@ -98,6 +105,38 @@ _run_pos = itemgetter(0)
 _run_offset = itemgetter(1)
 
 
+def _trim(run, lo: int, hi: int) -> list:
+    """The bytes at positions [lo, hi) of `run`, counted from its start, as
+    runs: its whole regions there as one run, and a part of a region as a
+    run of that one part."""
+    start, offset, size, stride, count = run
+    if stride == size:
+        return [(start + lo, offset + lo, hi - lo, hi - lo, 1)]
+    first, head = divmod(lo, size)
+    last, tail = divmod(hi, size)
+    if first == last:
+        return [(start + lo, offset + first * stride + head, hi - lo, hi - lo, 1)]
+    parts = []
+    if head:
+        parts.append((start + lo, offset + first * stride + head,
+                      size - head, size - head, 1))
+        first += 1
+    if first < last:
+        parts.append((start + first * size, offset + first * stride, size,
+                      stride, last - first))
+    if tail:
+        parts.append((start + hi - tail, offset + last * stride, tail, tail, 1))
+    return parts
+
+
+def _elements(view: memoryview, size: int, skip: int) -> memoryview:
+    """`view` from byte `skip` on, cast to `size`-byte elements: the element
+    that starts at byte `at` is element `at // size` when `at % size` is
+    `skip`."""
+    return view[skip : skip + (len(view) - skip) // size * size].cast(
+        _ELEMENT_FORMATS[size])
+
+
 def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0) -> None:
     """Copy bytes [pos, pos+len(data)) of strided runs' flattened order
     between `data`, which holds them in that order, and `buffer`, which
@@ -105,67 +144,60 @@ def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0) -> Non
     when `into_buffer`, else into `data`. Regions are written in run
     order, so where they overlap the later one wins.
 
-    A back-to-back run moves as one slice. Whole elements of 1, 2, 4 or 8
-    bytes at a stride that is a multiple of their size move with one
-    strided memoryview copy, other whole elements with one tight loop of
-    slices; a part of an element moves as one slice.
+    A run that the range covers only in part is first cut to the whole
+    regions and parts of one region that it covers. Then one tight loop
+    copies each run whole: a back-to-back run as one slice; elements of 1,
+    2, 4 or 8 bytes at a stride that is a multiple of their size as one
+    strided slice of element views of buffer and data, cast once per call;
+    any other run one region at a time, in order.
     """
-    n = len(data)
+    b = memoryview(buffer).cast("B")
+    d = memoryview(data).cast("B")
+    n = len(d)
     if not n:
         return
-    i = bisect_right(runs, pos, key=_run_pos) - 1
-    start, offset, size, stride, count = runs[i]
-    offset -= base
-    views = None  # byte views of buffer and data, made for the first copy
-    done = 0
-    while True:
-        rel = pos - start
-        whole = 0
-        if stride == size:  # back to back: one slice
-            at = offset + rel
-            take = min(size * count - rel, n - done)
-        else:
-            element, intra = divmod(rel, size)
-            at = offset + element * stride + intra
-            if not intra:
-                whole = min(count - element, (n - done) // size)
-            # Whole elements, or one element or the part of one that the
-            # range holds.
-            take = whole * size if whole > 1 else min(size - intra, n - done)
-        if whole > 1:
-            if views is None:
-                views = memoryview(buffer), memoryview(data)
-            b, d = views
-            code = _ELEMENT_FORMATS.get(size) if not stride % size else None
-            if code:
-                b = b[at : at + (whole - 1) * stride + size]
-                b = b.cast(code)[:: stride // size]
-                d = d[done : done + take].cast(code)
-                if into_buffer:
-                    b[:] = d
-                else:
-                    d[:] = b
+    end = pos + n
+    work = runs[bisect_right(runs, pos, key=_run_pos) - 1
+                : bisect_right(runs, end - 1, key=_run_pos)]
+    start, _offset, size, _stride, count = work[-1]
+    if end < start + size * count:
+        work[-1:] = _trim(work[-1], max(pos - start, 0), end - start)
+    start, _offset, size, _stride, count = work[0]
+    if pos > start:
+        work[:1] = _trim(work[0], pos - start, size * count)
+    # The element size, and the byte offsets mod it, of the element views.
+    el_size = b_skip = d_skip = 0
+    for start, offset, size, stride, count in work:
+        at = offset - base
+        p = start - pos
+        if stride == size:
+            k = size * count
+            if into_buffer:
+                b[at : at + k] = d[p : p + k]
             else:
-                pairs = zip(range(at, at + whole * stride, stride),
-                            range(done, done + take, size))
-                if into_buffer:
-                    for a, p in pairs:
-                        b[a : a + size] = d[p : p + size]
-                else:
-                    for a, p in pairs:
-                        d[p : p + size] = b[a : a + size]
-        elif into_buffer:
-            buffer[at : at + take] = data[done : done + take]
+                d[p : p + k] = b[at : at + k]
+        elif not stride % size and size in _ELEMENT_FORMATS:
+            if size != el_size or at % size != b_skip or p % size != d_skip:
+                el_size, b_skip, d_skip = size, at % size, p % size
+                b_elements = _elements(b, size, b_skip)
+                d_elements = _elements(d, size, d_skip)
+            e = at // size
+            step = stride // size
+            bs = slice(e, e + (count - 1) * step + 1, step)
+            e = p // size
+            if into_buffer:
+                b_elements[bs] = d_elements[e : e + count]
+            else:
+                d_elements[e : e + count] = b_elements[bs]
         else:
-            data[done : done + take] = buffer[at : at + take]
-        done += take
-        if done == n:
-            return
-        pos += take
-        if pos == start + size * count:
-            i += 1
-            start, offset, size, stride, count = runs[i]
-            offset -= base
+            pairs = zip(range(at, at + count * stride, stride),
+                        range(p, p + count * size, size))
+            if into_buffer:
+                for a, q in pairs:
+                    b[a : a + size] = d[q : q + size]
+            else:
+                for a, q in pairs:
+                    d[q : q + size] = b[a : a + size]
 
 
 class AccessPlan:
@@ -177,7 +209,10 @@ class AccessPlan:
 
     Both lists are walked as strided runs (regions.strided_runs), each
     built on first use: the memory runs move plan bytes to and from the
-    buffer, the file runs to and from sieving windows.
+    buffer, the file runs to and from sieving windows. The list messages
+    are fanned out once per striping and batch limit (list_requests). So
+    a plan is immutable once used: what it built for its first access
+    serves every later one.
     """
 
     def __init__(self, mem, file):
@@ -193,6 +228,7 @@ class AccessPlan:
         self.mem = mem
         self.file = file
         self.total_length = file.total_length
+        self._list_requests: dict = {}
 
     @cached_property
     def mem_runs(self) -> list[Run]:
@@ -225,6 +261,25 @@ class AccessPlan:
         out = bytearray(length)
         _move(self.mem_runs, buffer, pos, out, False)
         return out
+
+    def list_requests(self, sp: StripingParams, limit: int) -> tuple[list, int]:
+        """The plan's list requests on a file striped by `sp`, at most
+        `limit` regions a message: one (pos, length, waves) per batch of
+        `limit` file regions, whose plan bytes are [pos, pos+length) and
+        whose daemon messages are grouped in waves (_waves), and the byte
+        count of the largest message. Made on first use, then reused;
+        threads that race to make it store equal entries."""
+        made = self._list_requests.get((sp, limit))
+        if made is None:
+            requests, pos, largest = [], 0, 0
+            for batch in batch_regions(self.file, limit):
+                messages = fan_out(batch, sp, limit)
+                largest = max(largest, max(message.regions.total_length
+                                           for message in messages))
+                requests.append((pos, batch.total_length, _waves(messages)))
+                pos += batch.total_length
+            made = self._list_requests[sp, limit] = requests, largest
+        return made
 
     def windows(self, size: int):
         """Yield (ws, we, first, last) for each window [ws, we) that tiles
@@ -453,53 +508,68 @@ def _pieces(runs, view, total: int):
     return pieces if len(pieces) * _PIECE_MIN <= total else None
 
 
-def _exchange(session: FileSession, opcode: int, file_regions, view) -> None:
-    """Carry out one logical request against the daemons.
+def _contiguous(session: FileSession, opcode: int, offset: int, view) -> None:
+    """One READ or WRITE of the view's bytes at file `offset`.
 
-    `view` holds the bytes of the sorted `file_regions` in file order: reads
-    fill it, writes send it. List opcodes carry at most
-    wire.MAX_LIST_REGIONS regions per message. The messages go out in
-    waves, each sent to all its daemons before any reply is awaited. This
-    is the only code that sends data requests to daemons and the only code
-    that counts them.
-
-    A contiguous request inside one stripe is one message, sent from the
-    view or received into it, with no fan-out. Otherwise a read whose bytes
-    lie in few enough pieces of the view is received straight into them;
-    any other read is received whole and moved in. A write of one
-    back-to-back run is sent from the view; any other write's payload is
-    copied out run by run just before it is sent. A failure leaves each
-    channel that did not return its whole reply owing it, and
-    FileSession._channel replaces such a channel before its next use.
-    A request with a message over wire.MAX_PAYLOAD raises ValueError
-    before any message is sent.
+    Inside one stripe it is one message, sent from the view or received
+    into it, with no fan-out. Otherwise it is fanned out per daemon
+    (regions.fan_out) and carried out by _exchange in one wave, since it
+    involves each daemon once. A request with a message over
+    wire.MAX_PAYLOAD raises ValueError before any message is sent.
     """
     length = len(view)
     if not length:
         return
     sp = session.striping
-    listed = opcode in wire.LIST_OPCODES
-    limit = wire.MAX_LIST_REGIONS if listed else None
-    if length > wire.MAX_PAYLOAD:  # else no message can be over the cap
-        for message in fan_out(file_regions, sp, limit):
-            if message.regions.total_length > wire.MAX_PAYLOAD:
-                raise ValueError(wire.over_cap(message.regions.total_length))
-    reading = opcode in wire.READ_OPCODES
+    k, within = divmod(offset, sp.ssize)
+    if within + length > sp.ssize:
+        messages = fan_out(((offset, length),), sp)
+        if length > wire.MAX_PAYLOAD:  # else no message can be over the cap
+            _check_cap(max(message.regions.total_length
+                           for message in messages))
+        _exchange(session, opcode, (messages,), view)
+        return
+    _check_cap(length)
     m = session.metrics
     m.logical_requests += 1
-    if not listed:
-        k, within = divmod(file_regions[0][0], sp.ssize)
-        if within + length <= sp.ssize:  # inside one stripe: one message
-            channel = session._channel((sp.base + k) % sp.pcount)
-            rid = channel.send(opcode, session.handle,
-                               k // sp.pcount * sp.ssize + within, length,
-                               None, None if reading else view)
-            _counted(m, opcode, channel.receive(rid, view if reading else None),
-                     length)
-            return
-    messages = fan_out(file_regions, sp, limit)
-    # A contiguous request involves each daemon at most once: one wave.
-    for wave in _waves(messages) if listed else (messages,):
+    reading = opcode == wire.READ
+    channel = session._channel((sp.base + k) % sp.pcount)
+    rid = channel.send(opcode, session.handle, k // sp.pcount * sp.ssize + within,
+                       length, None, None if reading else view)
+    _counted(m, opcode, channel.receive(rid, view if reading else None), length)
+
+
+def _check_cap(largest: int) -> None:
+    """Refuse a request whose largest message holds `largest` data bytes
+    when that is over wire.MAX_PAYLOAD."""
+    if largest > wire.MAX_PAYLOAD:
+        raise ValueError(wire.over_cap(largest))
+
+
+def _exchange(session: FileSession, opcode: int, waves, view) -> None:
+    """Carry out one fanned-out logical request against the daemons.
+
+    `view` holds the bytes of the request's sorted file regions in file
+    order: reads fill it, writes send it. `waves` are its daemon messages
+    (regions.Message), grouped so that no wave holds two for one daemon;
+    a list request's come ready-made from its plan (list_requests). Each
+    wave is sent to all its daemons before any reply is awaited. This and
+    the one-stripe path of _contiguous are the only code that sends data
+    requests to daemons and that counts them.
+
+    A read whose bytes lie in few enough pieces of the view is received
+    straight into them; any other read is received whole and moved in. A
+    write of one back-to-back run is sent from the view; any other
+    write's payload is copied out run by run just before it is sent. A
+    failure leaves each channel that did not return its whole reply owing
+    it, and FileSession._channel replaces such a channel before its next
+    use.
+    """
+    reading = opcode in wire.READ_OPCODES
+    listed = opcode in wire.LIST_OPCODES
+    m = session.metrics
+    m.logical_requests += 1
+    for wave in waves:
         sent = []
         for slot, local, runs in wave:
             total = local.total_length
@@ -564,18 +634,18 @@ def _direction_opcode(direction: str, read_op: int, write_op: int) -> int:
 # -- contiguous access -------------------------------------------------------
 
 def pvfs_read(session: FileSession, file_offset: int, out) -> int:
-    """Read len(out) bytes at file_offset into the buffer span."""
-    view = memoryview(out)
-    _accounted(session, len(view), _exchange, session, wire.READ,
-               ((file_offset, len(view)),), view)
+    """Fill the buffer with the bytes at file_offset; returns its byte count."""
+    view = memoryview(out).cast("B")
+    _accounted(session, len(view), _contiguous, session, wire.READ,
+               file_offset, view)
     return len(view)
 
 
 def pvfs_write(session: FileSession, file_offset: int, data) -> int:
-    """Write the buffer span at file_offset."""
-    view = memoryview(data)
-    _accounted(session, len(view), _exchange, session, wire.WRITE,
-               ((file_offset, len(view)),), view)
+    """Write the buffer's bytes at file_offset; returns their count."""
+    view = memoryview(data).cast("B")
+    _accounted(session, len(view), _contiguous, session, wire.WRITE,
+               file_offset, view)
     return len(view)
 
 
@@ -586,35 +656,33 @@ def access_multiple(
 ) -> ClientMetrics:
     """One contiguous request per transfer piece, in plan order."""
     opcode = _direction_opcode(direction, wire.READ, wire.WRITE)
-    view = memoryview(buffer)
+    view = memoryview(buffer).cast("B")
 
     def body():
         for mem_offset, file_offset, length in iter_transfer_pieces(plan.mem,
                                                                     plan.file):
-            _exchange(session, opcode, ((file_offset, length),),
-                      view[mem_offset : mem_offset + length])
+            _contiguous(session, opcode, file_offset,
+                        view[mem_offset : mem_offset + length])
 
     return _accounted(session, plan.total_length, body)
 
 
-def _sieve(session: FileSession, plan: AccessPlan, buffer,
+def _sieve(session: FileSession, plan: AccessPlan, view: memoryview,
            writing: bool) -> None:
     """Read each extent window that holds plan bytes whole, then move the
     plan's bytes out of it, or into it and write it back whole. A window's
     plan bytes move with one walk of the plan's file runs."""
     if not len(plan.file):
         return
-    view = memoryview(buffer)
     scratch = session._scratch_view(min(SIEVING_WINDOW,
                                         extent(plan.file).length))
     for ws, we, first, last in plan.windows(SIEVING_WINDOW):
         window = scratch[: we - ws]
-        span = ((ws, we - ws),)
-        _exchange(session, wire.READ, span, window)
+        _contiguous(session, wire.READ, ws, window)
         with _plan_bytes(plan, view, first, last - first, not writing) as stretch:
             _move(plan.file_runs, window, first, stretch, writing, ws)
         if writing:
-            _exchange(session, wire.WRITE, span, window)
+            _contiguous(session, wire.WRITE, ws, window)
 
 
 def access_sieving_read(
@@ -622,7 +690,7 @@ def access_sieving_read(
 ) -> ClientMetrics:
     """Fetch the plan extent in large windows, scattering wanted bytes."""
     return _accounted(session, plan.total_length, _sieve,
-                      session, plan, buffer, False)
+                      session, plan, memoryview(buffer).cast("B"), False)
 
 
 def access_sieving_write(
@@ -634,12 +702,14 @@ def access_sieving_write(
     written back in full, so bytes outside the plan's regions survive. The
     token is held across all windows of the access.
     """
+    view = memoryview(buffer).cast("B")
+
     def body():
         if not len(plan.file):
             return
         session.acquire_token()
         try:
-            _sieve(session, plan, buffer, True)
+            _sieve(session, plan, view, True)
         finally:
             session.release_token()
 
@@ -653,20 +723,23 @@ def access_list(
 
     Logical requests count pre-striping batches of the plan's file regions;
     each involved daemon receives that batch's stripe fragments re-batched
-    at the same limit per wire message. A batch whose plan bytes lie in one
-    memory region moves straight to and from the buffer; any other batch
-    is staged in file order and scattered or gathered once.
+    at the same limit per wire message. The messages are fanned out once
+    per plan, striping and limit (AccessPlan.list_requests) and reused by
+    every later access. A plan with a message over wire.MAX_PAYLOAD raises
+    ValueError before any message is sent. A batch whose plan bytes lie
+    in one memory region moves straight to and from the buffer; any other
+    batch is staged in file order and scattered or gathered once.
     """
     opcode = _direction_opcode(direction, wire.READ_LIST, wire.WRITE_LIST)
-    view = memoryview(buffer)
+    view = memoryview(buffer).cast("B")
 
     def body():
-        pos = 0
-        for batch in batch_regions(plan.file, wire.MAX_LIST_REGIONS):
-            n = batch.total_length
+        requests, largest = plan.list_requests(session.striping,
+                                               wire.MAX_LIST_REGIONS)
+        _check_cap(largest)
+        for pos, n, waves in requests:
             with _plan_bytes(plan, view, pos, n, opcode == wire.READ_LIST) as part:
-                _exchange(session, opcode, batch, part)
-            pos += n
+                _exchange(session, opcode, waves, part)
 
     return _accounted(session, plan.total_length, body)
 

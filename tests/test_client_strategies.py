@@ -7,6 +7,7 @@ import socketserver
 import threading
 import time
 import warnings
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,42 @@ class TestContiguous:
             assert pvfs_write(session, 0, b"") == 0
             assert session.metrics.server_messages == 0
             assert session.metrics.logical_requests == 0
+
+
+class TestWideItems:
+    """A buffer of items wider than a byte is counted, sent and filled in
+    bytes, by the contiguous API and by every strategy."""
+
+    def test_a_double_array_round_trips(self, cluster, unique_name):
+        values = array("d", [k + 0.25 for k in range(96)])
+        nbytes = len(values) * values.itemsize
+        plan = make_plan([(1000 + k * 20, 8) for k in range(96)],
+                         [(k * 8, 8) for k in range(96)])
+        image = random.Random(12).randbytes(1000 + 96 * 20)
+        sp = StripingParams(0, 4, 64)
+        expected = overlay(image, plan.file, values.tobytes())
+        with prepared_file(cluster, unique_name, image, sp) as session:
+            assert pvfs_write(session, 0, values) == nbytes
+            got = array("d", bytes(nbytes))
+            assert pvfs_read(session, 0, got) == nbytes
+            assert got == values
+            pvfs_write(session, 0, image[:nbytes])
+            for write, read in [
+                (lambda b: access_multiple(session, plan, b, "write"),
+                 lambda b: access_multiple(session, plan, b, "read")),
+                (lambda b: access_sieving_write(session, plan, b),
+                 lambda b: access_sieving_read(session, plan, b)),
+                (lambda b: pvfs_write_list(session, plan, b),
+                 lambda b: pvfs_read_list(session, plan, b)),
+            ]:
+                assert write(values).useful_bytes == nbytes
+                got = array("d", bytes(nbytes))
+                assert read(got).useful_bytes == nbytes
+                assert got == values
+                # The session's next request is served whole.
+                final = bytearray(len(image))
+                assert pvfs_read(session, 0, final) == len(image)
+                assert final == expected
 
 
 class TestStrategyEquivalenceSmall:
@@ -724,6 +761,15 @@ class TestOneStripe:
                     pvfs_write(session, 2, bytes(12))
             assert (server.connections, server.requests) == (0, 0)
             assert session.metrics.logical_requests == 0
+            # A list access whose second batch has a 12-byte message sends
+            # not even its first batch.
+            monkeypatch.setattr(wire, "MAX_LIST_REGIONS", 1)
+            plan = make_plan([(0, 4), (20, 12)])
+            with pytest.raises(ValueError, match="12 bytes is over the 8-byte"):
+                access_list(session, plan, bytearray(16),
+                            "read" if reading else "write")
+            assert (server.connections, server.requests) == (0, 0)
+            assert session.metrics.logical_requests == 0
 
 
 class TestListApi:
@@ -748,6 +794,65 @@ class TestListApi:
             via_contig = bytearray(1000)
             pvfs_read(session, 500, via_contig)
             assert via_list == via_contig
+
+
+class TestListMessages:
+    """A plan fans its list batches out once per striping and batch limit,
+    and every later access reuses the messages."""
+
+    def test_one_plan_under_two_stripings_and_two_limits(
+            self, cluster, unique_name, monkeypatch):
+        rng = random.Random(21)
+        file_regions = [(k * 100 + rng.randrange(50), 40) for k in range(150)]
+        mem, buflen = random_mem_regions(rng, 150 * 40, max_regions=70)
+        plan = make_plan(file_regions, mem)
+        end = file_regions[-1][0] + 40
+        for sp, limit in [(StripingParams(0, 4, 256), 64),
+                          (StripingParams(2, 3, 512), 64),
+                          (StripingParams(0, 4, 256), 16),
+                          (StripingParams(2, 3, 512), 64)]:
+            monkeypatch.setattr(wire, "MAX_LIST_REGIONS", limit)
+            batches = [file_regions[i : i + limit]
+                       for i in range(0, len(file_regions), limit)]
+            messages = sum(len(fan_out(batch, sp, limit)) for batch in batches)
+            image = rng.randbytes(end)
+            buf = bytearray(buflen)
+            plan.scatter(buf, 0, rng.randbytes(plan.total_length))
+            with prepared_file(cluster, unique_name, image, sp) as session:
+                wrote = access_list(session, plan, buf, "write")
+                stream = plan.gather(buf, 0, plan.total_length)
+                final = bytearray(end)
+                pvfs_read(session, 0, final)
+                assert final == overlay(image, file_regions, stream)
+                got = bytearray(buflen)
+                read = access_list(session, plan, got, "read")
+                assert plan.gather(got, 0, plan.total_length) == stream
+            for m in (wrote, read):
+                assert (m.logical_requests, m.server_messages) == (
+                    len(batches), messages)
+
+    def test_a_second_access_fans_nothing_out(self, cluster, unique_name,
+                                              monkeypatch):
+        plan = make_plan([(k * 3000, 1000) for k in range(130)])
+        image = random.Random(22).randbytes(130 * 3000)
+        calls = []
+        for name in ("fan_out", "batch_regions"):
+            real = getattr(client_module, name)
+            monkeypatch.setattr(client_module, name,
+                                lambda *args, _real=real, _name=name: (
+                                    calls.append(_name) or _real(*args)))
+        with prepared_file(cluster, unique_name, image) as session:
+            wanted = b"".join(image[off : off + n] for off, n in plan.file)
+            for access in range(3):
+                calls.clear()
+                buf = bytearray(plan.total_length)
+                m = access_list(session, plan, buf, "read")
+                assert buf == wanted
+                assert m.logical_requests == 3
+                if access:
+                    assert calls == []
+                else:
+                    assert calls.count("fan_out") == 3
 
 
 class TestMetrics:
@@ -968,6 +1073,38 @@ class TestScatterGather:
             for p, lo, n in clips:
                 want[lo - ws : lo - ws + n] = payload[p - first : p - first + n]
             assert got == want
+
+    @given(mem=memory_lists(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_whole_runs_move_bytes_as_regions_do(self, mem, data):
+        total = sum(n for _off, n in mem)
+        plan = AccessPlan(RegionList(mem), RegionList([(0, total)]))
+        runs = plan.mem_runs
+        # Past the last region: a length that is not a multiple of the
+        # element size.
+        buflen = max(off + n for off, n in mem) + data.draw(st.integers(0, 7))
+        image = data.draw(st.binary(min_size=buflen, max_size=buflen))
+        flat = b"".join(image[off : off + n] for off, n in mem)
+        base = data.draw(st.integers(0, min(off for off, _n in mem)))
+        first = data.draw(st.integers(0, len(runs) - 1))
+        last = data.draw(st.integers(first, len(runs) - 1))
+        end = runs[last].pos + runs[last].size * runs[last].count
+        # The whole plan, then runs [first, last] whole.
+        for pos, stop in ((0, total), (runs[first].pos, end)):
+            assert plan.gather(image, pos, stop - pos) == flat[pos:stop]
+            payload = data.draw(st.binary(min_size=stop - pos,
+                                          max_size=stop - pos))
+            got, want = bytearray(image), bytearray(image)
+            plan.scatter(got, pos, payload)
+            reference_scatter(mem, want, pos, payload)
+            assert got == want
+            # The buffer seen from `base` on, as a sieving window is.
+            taken = bytearray(stop - pos)
+            _move(runs, image[base:], pos, taken, False, base)
+            assert taken == flat[pos:stop]
+            got = bytearray(image[base:])
+            _move(runs, got, pos, payload, True, base)
+            assert got == want[base:]
 
     def test_flash_plan_walks_as_runs_of_eight(self):
         plan = gen_flash(FlashSpec(procs=2, proc_id=0, nblocks=2))
