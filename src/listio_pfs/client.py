@@ -19,7 +19,8 @@ strategies differ only in the logical requests they hand it:
                     batches out once per striping and keeps the messages.
 
 Plan bytes move between buffer and messages with _move, which copies each
-strided run the range covers whole in one tight loop. An AccessPlan keeps
+strided run the range covers whole in one tight loop, or, to gather a plan
+whose memory runs repeat, one strided slice per column. An AccessPlan keeps
 what it builds on first use, so it is immutable once used. Every API call
 counts its buffer in bytes, whatever the buffer's item size.
 
@@ -57,6 +58,7 @@ from .regions import (  # noqa: F401
     fan_out,
     inverse_stripe_location,
     iter_transfer_pieces,
+    run_repeat,
     server_spans,
     stripe_chunks,
     strided_runs,
@@ -137,12 +139,42 @@ def _elements(view: memoryview, size: int, skip: int) -> memoryview:
         _ELEMENT_FORMATS[size])
 
 
-def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0) -> None:
+def _gather_columns(columns, b: memoryview, d: memoryview, first: int,
+                    base: int) -> None:
+    """Copy whole copies first, first+1, ... of the repeat out of `b`, which
+    holds their regions at their offsets minus `base`, into `d`: one
+    strided slice per column, element views cast once per residue."""
+    (_width, _copies, pos_shift, offset_shift), size, cells = columns
+    copies = len(d) // pos_shift
+    b_step, d_step = offset_shift // size, pos_shift // size
+    b_span, d_span = (copies - 1) * b_step + 1, (copies - 1) * d_step + 1
+    # `d` starts at a copy, whose plan position is a whole number of
+    # elements, so one element view of it serves every column.
+    d_elements = _elements(d, size, 0)
+    at0 = first * offset_shift - base
+    residue = None
+    for r, e, p in cells:
+        if r != residue:
+            residue = r
+            b_elements = _elements(b, size, (r + at0) % size)
+            shift = (r + at0) // size
+        e += shift
+        d_elements[p : p + d_span : d_step] = b_elements[e : e + b_span : b_step]
+
+
+def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0,
+          columns=None) -> None:
     """Copy bytes [pos, pos+len(data)) of strided runs' flattened order
     between `data`, which holds them in that order, and `buffer`, which
     holds each run's regions at their offsets minus `base`: into `buffer`
     when `into_buffer`, else into `data`. Regions are written in run
     order, so where they overlap the later one wins.
+
+    `columns` are the runs' columns (AccessPlan.mem_columns), used only to
+    copy out of the buffer. When the range's whole copies take fewer
+    columns than runs, they are copied one strided slice per column,
+    across every copy, and only the parts of a copy at either end go by
+    runs.
 
     A run that the range covers only in part is first cut to the whole
     regions and parts of one region that it covers. Then one tight loop
@@ -157,6 +189,15 @@ def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0) -> Non
     if not n:
         return
     end = pos + n
+    if columns is not None and not into_buffer:
+        width, _copies, shift, _offset_shift = columns[0]
+        first, last = -(-pos // shift), end // shift
+        if len(columns[2]) < (last - first) * width:
+            head, tail = first * shift - pos, last * shift - pos
+            _move(runs, b, pos, d[:head], False, base)
+            _gather_columns(columns, b, d[head:tail], first, base)
+            _move(runs, b, last * shift, d[tail:], False, base)
+            return
     work = runs[bisect_right(runs, pos, key=_run_pos) - 1
                 : bisect_right(runs, end - 1, key=_run_pos)]
     start, _offset, size, _stride, count = work[-1]
@@ -209,10 +250,12 @@ class AccessPlan:
 
     Both lists are walked as strided runs (regions.strided_runs), each
     built on first use: the memory runs move plan bytes to and from the
-    buffer, the file runs to and from sieving windows. The list messages
-    are fanned out once per striping and batch limit (list_requests). So
-    a plan is immutable once used: what it built for its first access
-    serves every later one.
+    buffer, the file runs to and from sieving windows. A gather copies by
+    columns when the memory runs repeat (mem_columns, found on the first
+    gather); a scatter always goes by runs. The list messages are fanned
+    out once per striping and batch limit (list_requests). So a plan is
+    immutable once used: what it built for its first access serves every
+    later one.
     """
 
     def __init__(self, mem, file):
@@ -238,6 +281,31 @@ class AccessPlan:
     def file_runs(self) -> list[Run]:
         return strided_runs(self.file)
 
+    @cached_property
+    def mem_columns(self):
+        """(repeat, element size, cells) when the memory runs repeat
+        (regions.run_repeat) by a positive whole number of elements, each
+        region one element of a size of _ELEMENT_FORMATS; else None, as
+        when the memory is one region. A column is one element of the
+        first copy and that element in every later copy. `cells` holds,
+        per column, its buffer offset's residue mod the size, then that
+        offset and its plan position in elements, sorted by residue."""
+        runs = self.mem_runs
+        repeat = run_repeat(runs)
+        if repeat is None:
+            return None
+        template = runs[:repeat.width]
+        size = runs[0].size
+        if (size not in _ELEMENT_FORMATS or repeat.offset_shift <= 0
+                or repeat.offset_shift % size
+                or any(run.size != size for run in template)):
+            return None
+        return repeat, size, sorted(
+            (at % size, at // size, pos // size + i)
+            for pos, offset, _size, stride, count in template
+            for i, at in enumerate(range(offset, offset + count * stride,
+                                         stride)))
+
     def mem_span(self, buffer, pos: int, length: int):
         """The buffer slice holding plan bytes [pos, pos+length) when they
         lie in one memory region, else None."""
@@ -259,7 +327,8 @@ class AccessPlan:
         # One output buffer, not one bytes object per region: a batch of
         # single-element regions would otherwise hold thousands at once.
         out = bytearray(length)
-        _move(self.mem_runs, buffer, pos, out, False)
+        _move(self.mem_runs, buffer, pos, out, False,
+              columns=self.mem_columns)
         return out
 
     def list_requests(self, sp: StripingParams, limit: int) -> tuple[list, int]:

@@ -32,11 +32,25 @@ from listio_pfs.client import (
     _move,
 )
 from listio_pfs.errors import NotFoundError, PlanError, ProtocolError
-from listio_pfs.regions import RegionList, StripingParams, fan_out, strided_runs
+from listio_pfs.regions import (
+    RegionList,
+    Repeat,
+    Run,
+    StripingParams,
+    fan_out,
+    run_repeat,
+    strided_runs,
+)
 from listio_pfs.bench import reassemble_file
-from listio_pfs.workloads import FlashSpec, gen_flash
+from listio_pfs.workloads import CyclicSpec, FlashSpec, gen_cyclic, gen_flash
 
-from oracles import count_windows, overlay, random_file_regions, random_mem_regions
+from oracles import (
+    count_windows,
+    flash_reference_layout,
+    overlay,
+    random_file_regions,
+    random_mem_regions,
+)
 
 SP = StripingParams(0, 8, 16384)
 
@@ -281,6 +295,51 @@ class TestRequestCounts:
             m = access_sieving_read(session, plan, bytearray(plan.total_length))
             assert m.logical_requests == count_windows(file_regions, window)
             assert m.wire_bytes_read >= m.useful_bytes
+
+
+class TestFlashWrite:
+    """A FLASH memory list repeats once per variable, so list and sieving
+    writes gather it by columns. Random plans never repeat, so this is the
+    one live test of that path."""
+
+    def test_every_strategy_writes_the_oracle_file(self, cluster, unique_name,
+                                                   monkeypatch):
+        specs = [FlashSpec(procs=2, proc_id=p, nblocks=2) for p in (0, 1)]
+        plans = [gen_flash(spec) for spec in specs]
+        rng = random.Random(19)
+        buffers = [rng.randbytes(spec.nblocks * spec.mem_block_bytes)
+                   for spec in specs]
+        size = specs[0].file_bytes
+        want = bytearray(size)
+        for spec, buf in zip(specs, buffers):
+            mem, file_offsets = flash_reference_layout(
+                spec.procs, spec.proc_id, spec.nblocks, spec.nb, spec.guard,
+                spec.nvars, spec.element_size)
+            for (off, n), at in zip(mem, file_offsets):
+                want[at : at + n] = buf[off : off + n]
+        base = rng.randbytes(size)
+        files = {}
+        # A batch of 5 regions is 2.5 variables: a sub-range that is copied
+        # by runs. One of 19 is 9.5 variables, copied by columns with half
+        # a variable by runs at one end.
+        for name, limit, write in (
+                ("multiple", 64,
+                 lambda s, plan, buf: access_multiple(s, plan, buf, "write")),
+                ("list", 64,
+                 lambda s, plan, buf: access_list(s, plan, buf, "write")),
+                ("sieving", 64, access_sieving_write),
+                ("list of 5", 5,
+                 lambda s, plan, buf: access_list(s, plan, buf, "write")),
+                ("list of 19", 19,
+                 lambda s, plan, buf: access_list(s, plan, buf, "write"))):
+            monkeypatch.setattr(wire, "MAX_LIST_REGIONS", limit)
+            with prepared_file(cluster, unique_name, base) as session:
+                for plan, buf in zip(plans, buffers):
+                    write(session, plan, buf)
+                files[name] = reassemble_file(cluster.storage_roots,
+                                              session.handle, SP, size)
+        for name, got in files.items():
+            assert got == files["multiple"] == want, name
 
 
 class TestSieving:
@@ -961,6 +1020,49 @@ def file_lists(draw):
     return regions
 
 
+@st.composite
+def periodic_lists(draw):
+    """(memory list, element size, shift kind): a random template of strided
+    runs of one element size at offsets of any residue, then 2-6 copies of
+    it, copy m shifted by m times a shift of whole elements, of bytes that
+    are not whole elements, or of zero. The template ends at or past its
+    first offset plus the shift, so no copy's first run continues the
+    previous copy's last one."""
+    size = draw(st.sampled_from([1, 2, 4, 8, 3]))
+    kind = draw(st.sampled_from(["elements", "bytes", "zero"]))
+    if kind == "bytes" and size == 1:
+        kind = "elements"
+    shift = {"elements": size * draw(st.integers(1, 12)),
+             "bytes": size * draw(st.integers(0, 11))
+             + draw(st.integers(1, size - 1)) if size > 1 else 0,
+             "zero": 0}[kind]
+    template = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw(st.integers(0, 40))
+        stride = draw(st.integers(size, 3 * size + 3))
+        template += [(base + k * stride, size)
+                     for k in range(draw(st.integers(1, 4)))]
+    template.append((template[0][0] + shift + draw(st.integers(0, 2 * size)),
+                     size))
+    copies = draw(st.integers(2, 6))
+    mem = [(off + m * shift, n) for m in range(copies) for off, n in template]
+    return mem, size, kind
+
+
+class _CountingView:
+    """An element view that counts the strided copies made into it."""
+
+    def __init__(self, view, copies):
+        self.view, self.copies = view, copies
+
+    def __getitem__(self, index):
+        return self.view[index]
+
+    def __setitem__(self, index, value):
+        self.copies.append(index)
+        self.view[index] = value
+
+
 def reference_scatter(mem, buf, pos, data):
     """Per-region scatter: later regions overwrite earlier ones."""
     start = 0
@@ -1111,3 +1213,119 @@ class TestScatterGather:
         runs = strided_runs(plan.mem)
         assert (len(plan.mem), len(runs)) == (24576, 3072)
         assert {(run.size, run.stride, run.count) for run in runs} == {(8, 192, 8)}
+        # One variable's 128 rows, once per variable: 8 KiB further on in
+        # the plan and one element further on in memory.
+        assert run_repeat(runs) == Repeat(width=128, copies=24,
+                                          pos_shift=8192, offset_shift=8)
+        cyclic = gen_cyclic(CyclicSpec(clients=2, client_id=0,
+                                       total_bytes=1 << 16, accesses=64))
+        assert run_repeat(cyclic.mem_runs) is None
+        assert cyclic.mem_columns is None
+        mem, _buflen = random_mem_regions(random.Random(3), 4096)
+        assert run_repeat(make_plan([(0, 4096)], mem).mem_runs) is None
+
+    @given(case=periodic_lists(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_periodic_plans_gather_as_the_flat_join(self, case, data):
+        mem, size, kind = case
+        total = sum(n for _off, n in mem)
+        plan = AccessPlan(RegionList(mem), RegionList([(0, total)]))
+        buflen = max(off + n for off, n in mem) + data.draw(st.integers(0, 7))
+        image = data.draw(st.binary(min_size=buflen, max_size=buflen))
+        flat = b"".join(image[off : off + n] for off, n in mem)
+        elements = total // size
+        first = data.draw(st.integers(0, elements - 1))
+        last = data.draw(st.integers(first + 1, elements))
+        pos = data.draw(st.integers(0, total - 1))
+        length = data.draw(st.integers(1, total - pos))
+        # The whole plan, whole elements, then a range cut anywhere.
+        base = data.draw(st.integers(0, min(off for off, _n in mem)))
+        for pos, length in ((0, total),
+                            (first * size, (last - first) * size),
+                            (pos, length)):
+            assert plan.gather(image, pos, length) == flat[pos : pos + length]
+            # The buffer seen from `base` on, as a sieving window is.
+            taken = bytearray(length)
+            _move(plan.mem_runs, image[base:], pos, taken, False, base,
+                  columns=plan.mem_columns)
+            assert taken == flat[pos : pos + length]
+        if size == 3 or kind == "zero":
+            assert plan.mem_columns is None
+
+    @given(case=periodic_lists(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_repeat_rebuilds_the_runs(self, case, data):
+        mem, _size, _kind = case
+        moved = data.draw(st.booleans())
+        if moved:  # one region moved: the list may no longer repeat
+            i = data.draw(st.integers(0, len(mem) - 1))
+            mem[i] = (mem[i][0] + data.draw(st.integers(1, 5)), mem[i][1])
+        runs = strided_runs(mem)
+        repeat = run_repeat(runs)
+        assert moved or repeat is not None
+        if repeat is not None:
+            width, copies, pos_shift, offset_shift = repeat
+            assert copies >= 2 and width * copies == len(runs)
+            assert runs == [
+                Run(pos + m * pos_shift, offset + m * offset_shift, *shape)
+                for m in range(copies)
+                for pos, offset, *shape in runs[:width]]
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_columns_of_each_element_size(self, size):
+        # Two runs of 4 elements, at offsets of different residues, in 16
+        # copies one element apart: 8 columns of 16, not 32 runs of 4.
+        template = ([(1 + k * 3 * size, size) for k in range(4)]
+                    + [(100 * size + k * 2 * size, size) for k in range(4)])
+        mem = [(off + m * size, n) for m in range(16) for off, n in template]
+        plan = make_plan([(0, len(mem) * size)], mem)
+        image = random.Random(size).randbytes(max(off for off, _n in mem)
+                                              + size + 3)
+        flat = b"".join(image[off : off + n] for off, n in mem)
+        assert plan.gather(image, 0, len(flat)) == flat
+        assert len(plan.mem_columns[2]) == 8
+
+    @pytest.mark.parametrize("size, shift", [(3, 3), (4, 6), (8, 0)])
+    def test_no_columns_without_whole_element_shifts(self, size, shift):
+        template = [(k * 4 * size, size) for k in range(4)] + [(99, size)]
+        mem = [(off + m * shift, n) for m in range(16) for off, n in template]
+        plan = make_plan([(0, len(mem) * size)], mem)
+        image = random.Random(size).randbytes(200)
+        flat = b"".join(image[off : off + n] for off, n in mem)
+        assert plan.gather(image, 0, len(flat)) == flat
+        assert run_repeat(plan.mem_runs) is not None
+        assert plan.mem_columns is None
+
+    def _gather_copies(self, monkeypatch, plan, buffer, pos, length):
+        """The strided copies that gathering plan bytes [pos, pos+length)
+        makes."""
+        copies = []
+        real = client_module._elements
+        monkeypatch.setattr(
+            client_module, "_elements",
+            lambda view, size, skip: _CountingView(real(view, size, skip),
+                                                   copies))
+        plan.gather(buffer, pos, length)
+        return copies
+
+    def test_flash_gather_copies_by_columns(self, monkeypatch):
+        spec = FlashSpec(procs=2, proc_id=0, nblocks=2)
+        plan = gen_flash(spec)
+        buffer = bytearray(spec.nblocks * spec.mem_block_bytes)
+        copies = self._gather_copies(monkeypatch, plan, buffer, 0,
+                                     plan.total_length)
+        # One per template element, 24 elements each: not 3,072 runs of 8.
+        assert len(copies) == 1024
+        assert {len(range(*index.indices(1 << 40))) for index in copies} == {24}
+
+    def test_default_cube_batch_keeps_the_run_path(self, monkeypatch):
+        spec = FlashSpec(procs=2, proc_id=0)
+        plan = gen_flash(spec)
+        ((pos, length, _waves), *_rest), _largest = plan.list_requests(
+            SP, wire.MAX_LIST_REGIONS)
+        buffer = bytearray(spec.nblocks * spec.mem_block_bytes)
+        copies = self._gather_copies(monkeypatch, plan, buffer, pos, length)
+        # The repeat is one variable of 80 blocks, more than a batch of 64
+        # regions covers: one copy per row run of 8.
+        assert plan.mem_columns[0].width == 80 * 64
+        assert len(copies) == length // 64

@@ -65,6 +65,27 @@ class TestSummarize:
             "change": {"n": 0}, "ratio": {"n": 0}}
 
 
+class TestRoom:
+    def test_change_iqr_next_to_bound_times_parent_median(self):
+        metrics = [dict(METRICS[0], bound=0.25), METRICS[1]]
+        pairs = [pair({"list.p50_ms": p, "list.useful_MBps": 100.0},
+                      {"list.p50_ms": c, "list.useful_MBps": 120.0})
+                 for p, c in ((10.0, 5.0), (12.0, 6.0), (14.0, 9.0))]
+        out = paired.summarize(pairs, metrics)
+        # Change side 5, 6, 9: IQR 7.5 - 5.5; parent median 12.
+        assert out["list.p50_ms"]["room"] == {"change_iqr": 2.0,
+                                              "bound_x_parent_median": 3.0}
+        assert "room" not in out["list.useful_MBps"]  # no bound given
+        assert paired.room_lines("flash-write", out) == [
+            "flash-write list.p50_ms: change IQR 2 vs bound x parent median 3"]
+
+    def test_no_room_without_both_sides(self):
+        metrics = [dict(METRICS[0], bound=0.25)]
+        out = paired.summarize([pair({"list.p50_ms": 10.0}, {})], metrics)
+        assert "room" not in out["list.p50_ms"]
+        assert paired.room_lines("w", out) == []
+
+
 class TestReadRun:
     def test_metrics_steal_and_quiet_counts(self, tmp_path):
         run_dir = tmp_path / ".perfbench-runs" / "r1"

@@ -15,6 +15,9 @@ no other pair uses, and the side that runs first alternates from pair to
 pair. The file it writes holds every run and, per workload and
 end-to-end metric of BENCHMARK.json, both sides' quartiles, the quartiles
 of the per-pair change/parent ratio, and how many pairs the change won.
+Per workload it also prints, and stores as `room`, each metric's change
+side IQR next to its bound times the parent's median: a report of how
+steady the change ran against the spread a check allows, not a gate.
 No pair is ever dropped: a run that failed keeps its exit status and
 counts as a pair the change did not win. Just before each run it times
 a fixed pure-Python loop (`cpu_probe`) and keeps that reading with the
@@ -67,7 +70,10 @@ def _spread(values: list[float]) -> dict:
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: both sides' quartiles, the per-pair change/parent ratio's
     quartiles, and the pairs the change won. A pair where either side lacks
-    the metric has no ratio and is not a win."""
+    the metric has no ratio and is not a win. A metric with a `bound` also
+    gets `room`: the change side's IQR next to the bound times the parent's
+    median, the spread a benchmark check allows. It is a report, not a
+    gate."""
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -87,7 +93,21 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         out[name] = {"better": spec["better"], "pairs": len(pairs),
                      "wins": wins, "parent": _spread(parent),
                      "change": _spread(change), "ratio": _spread(ratios)}
+        if "bound" in spec and parent and change:
+            out[name]["room"] = {
+                "change_iqr": out[name]["change"]["iqr"],
+                "bound_x_parent_median":
+                    spec["bound"] * out[name]["parent"]["median"]}
     return out
+
+
+def room_lines(workload: str, summary: dict) -> list[str]:
+    """One line per metric with a `room`: the change side's IQR against the
+    spread its bound allows."""
+    return [f"{workload} {name}: change IQR {room['change_iqr']:.4g} vs "
+            f"bound x parent median {room['bound_x_parent_median']:.4g}"
+            for name, entry in summary.items()
+            if (room := entry.get("room"))]
 
 
 def probe_spread(pairs: list[dict]) -> dict:
@@ -215,9 +235,12 @@ def main(argv=None) -> int:
                           f"{pair[side]['exit']}", file=sys.stderr, flush=True)
                 pairs.append(pair)
                 seed += 1
+            summary = summarize(pairs, metrics)
             result["workloads"][workload] = {
-                "pairs": pairs, "summary": summarize(pairs, metrics),
+                "pairs": pairs, "summary": summary,
                 "cpu_probe_ms": probe_spread(pairs)}
+            for line in room_lines(workload, summary):
+                print(line, file=sys.stderr, flush=True)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", parent],
                        cwd=change, capture_output=True)
