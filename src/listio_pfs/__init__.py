@@ -33,7 +33,6 @@ from .regions import (
     batch_regions,
     extent,
     stripe_location,
-    useful_fraction,
 )
 from .server import IoDaemon, Manager
 
@@ -67,5 +66,4 @@ __all__ = [
     "pvfs_write",
     "pvfs_write_list",
     "stripe_location",
-    "useful_fraction",
 ]

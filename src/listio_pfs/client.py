@@ -20,9 +20,11 @@ strategies differ only in the logical requests they hand it:
 
 Plan bytes move between buffer and messages with _move, which copies each
 strided run the range covers whole in one tight loop, or, to gather a plan
-whose memory runs repeat, one strided slice per column. An AccessPlan keeps
-what it builds on first use, so it is immutable once used. Every API call
-counts its buffer in bytes, whatever the buffer's item size.
+whose memory regions are the fields of records (FLASH's cells), each row of
+records whole into a staging array, then one strided slice of it per copy.
+An AccessPlan keeps what it builds on first use, so it is immutable once
+used. Every API call counts its buffer in bytes, whatever the buffer's
+item size.
 
 All strategies move byte-identical data; they differ in request counts and
 in how much unwanted data crosses the wire, which ClientMetrics records.
@@ -34,6 +36,7 @@ import itertools
 import mmap
 import socket
 import time
+from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -97,7 +100,8 @@ class ClientMetrics:
         self.elapsed += other.elapsed
 
 
-# Element sizes that a strided run moves with one memoryview copy.
+# Element sizes that a strided run moves with one memoryview copy, and the
+# format of their element views and staging arrays.
 _ELEMENT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # Smallest average piece a read reply is received into in place. Smaller
 # pieces cost more to slice and hand to the kernel one by one than the
@@ -139,42 +143,36 @@ def _elements(view: memoryview, size: int, skip: int) -> memoryview:
         _ELEMENT_FORMATS[size])
 
 
-def _gather_columns(columns, b: memoryview, d: memoryview, first: int,
-                    base: int) -> None:
+def _gather_fields(fields, b: memoryview, d: memoryview, first: int,
+                   base: int) -> None:
     """Copy whole copies first, first+1, ... of the repeat out of `b`, which
-    holds their regions at their offsets minus `base`, into `d`: one
-    strided slice per column, element views cast once per residue."""
-    (_width, _copies, pos_shift, offset_shift), size, cells = columns
-    copies = len(d) // pos_shift
-    b_step, d_step = offset_shift // size, pos_shift // size
-    b_span, d_span = (copies - 1) * b_step + 1, (copies - 1) * d_step + 1
-    # `d` starts at a copy, whose plan position is a whole number of
-    # elements, so one element view of it serves every column.
-    d_elements = _elements(d, size, 0)
-    at0 = first * offset_shift - base
-    residue = None
-    for r, e, p in cells:
-        if r != residue:
-            residue = r
-            b_elements = _elements(b, size, (r + at0) % size)
-            shift = (r + at0) // size
-        e += shift
-        d_elements[p : p + d_span : d_step] = b_elements[e : e + b_span : b_step]
+    holds their regions at their offsets minus `base`, into `d`: each
+    template run's records whole into one staging array of the element's
+    format, then one strided slice of it per copy. Slicing an array with a
+    step copies its elements in one pass. The staging array holds every
+    copy of the repeat, so at most the plan's bytes, whatever the range."""
+    records, copies, size, _shift = fields
+    staging = array(_ELEMENT_FORMATS[size])
+    for at, k in records:
+        staging.frombytes(b[at - base : at - base + k])
+    d_elements = d.cast(_ELEMENT_FORMATS[size])
+    width = len(staging) // copies
+    for m in range(len(d_elements) // width):
+        d_elements[m * width : (m + 1) * width] = staging[first + m :: copies]
 
 
 def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0,
-          columns=None) -> None:
+          fields=None) -> None:
     """Copy bytes [pos, pos+len(data)) of strided runs' flattened order
     between `data`, which holds them in that order, and `buffer`, which
     holds each run's regions at their offsets minus `base`: into `buffer`
     when `into_buffer`, else into `data`. Regions are written in run
     order, so where they overlap the later one wins.
 
-    `columns` are the runs' columns (AccessPlan.mem_columns), used only to
-    copy out of the buffer. When the range's whole copies take fewer
-    columns than runs, they are copied one strided slice per column,
-    across every copy, and only the parts of a copy at either end go by
-    runs.
+    `fields` are the runs' fields (AccessPlan.mem_fields), used only to
+    copy out of the buffer. When the range holds two or more whole copies
+    of the repeat, they are gathered by fields (_gather_fields), and only
+    the parts of a copy at either end go by runs.
 
     A run that the range covers only in part is first cut to the whole
     regions and parts of one region that it covers. Then one tight loop
@@ -189,13 +187,13 @@ def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0,
     if not n:
         return
     end = pos + n
-    if columns is not None and not into_buffer:
-        width, _copies, shift, _offset_shift = columns[0]
+    if fields is not None and not into_buffer:
+        shift = fields[3]  # the plan bytes of one copy
         first, last = -(-pos // shift), end // shift
-        if len(columns[2]) < (last - first) * width:
+        if last - first >= 2:
             head, tail = first * shift - pos, last * shift - pos
             _move(runs, b, pos, d[:head], False, base)
-            _gather_columns(columns, b, d[head:tail], first, base)
+            _gather_fields(fields, b, d[head:tail], first, base)
             _move(runs, b, last * shift, d[tail:], False, base)
             return
     work = runs[bisect_right(runs, pos, key=_run_pos) - 1
@@ -251,11 +249,11 @@ class AccessPlan:
     Both lists are walked as strided runs (regions.strided_runs), each
     built on first use: the memory runs move plan bytes to and from the
     buffer, the file runs to and from sieving windows. A gather copies by
-    columns when the memory runs repeat (mem_columns, found on the first
-    gather); a scatter always goes by runs. The list messages are fanned
-    out once per striping and batch limit (list_requests). So a plan is
-    immutable once used: what it built for its first access serves every
-    later one.
+    fields when the memory regions are the fields of records (mem_fields,
+    found on the first gather); a scatter always goes by runs. The list
+    messages are fanned out once per striping and batch limit
+    (list_requests). So a plan is immutable once used: what it built for
+    its first access serves every later one.
     """
 
     def __init__(self, mem, file):
@@ -282,29 +280,30 @@ class AccessPlan:
         return strided_runs(self.file)
 
     @cached_property
-    def mem_columns(self):
-        """(repeat, element size, cells) when the memory runs repeat
-        (regions.run_repeat) by a positive whole number of elements, each
-        region one element of a size of _ELEMENT_FORMATS; else None, as
-        when the memory is one region. A column is one element of the
-        first copy and that element in every later copy. `cells` holds,
-        per column, its buffer offset's residue mod the size, then that
-        offset and its plan position in elements, sorted by residue."""
+    def mem_fields(self):
+        """(records, copies, size, pos_shift) when each memory region is one
+        element of a size of _ELEMENT_FORMATS and the runs repeat
+        (regions.run_repeat) one element further on in memory, every
+        template run of two or more elements `copies` elements apart; else
+        None, as when the memory is one region. Then each template element
+        and its copies are the adjacent fields of one record, and a run's
+        records sit back to back: `records` holds each template run's
+        (offset, bytes)."""
         runs = self.mem_runs
         repeat = run_repeat(runs)
         if repeat is None:
             return None
-        template = runs[:repeat.width]
+        width, copies, pos_shift, offset_shift = repeat
         size = runs[0].size
-        if (size not in _ELEMENT_FORMATS or repeat.offset_shift <= 0
-                or repeat.offset_shift % size
-                or any(run.size != size for run in template)):
+        record = copies * size
+        template = runs[:width]
+        if (offset_shift != size or size not in _ELEMENT_FORMATS
+                or any(run.size != size
+                       or (run.count > 1 and run.stride != record)
+                       for run in template)):
             return None
-        return repeat, size, sorted(
-            (at % size, at // size, pos // size + i)
-            for pos, offset, _size, stride, count in template
-            for i, at in enumerate(range(offset, offset + count * stride,
-                                         stride)))
+        return ([(run.offset, run.count * record) for run in template],
+                copies, size, pos_shift)
 
     def mem_span(self, buffer, pos: int, length: int):
         """The buffer slice holding plan bytes [pos, pos+length) when they
@@ -327,8 +326,7 @@ class AccessPlan:
         # One output buffer, not one bytes object per region: a batch of
         # single-element regions would otherwise hold thousands at once.
         out = bytearray(length)
-        _move(self.mem_runs, buffer, pos, out, False,
-              columns=self.mem_columns)
+        _move(self.mem_runs, buffer, pos, out, False, fields=self.mem_fields)
         return out
 
     def list_requests(self, sp: StripingParams, limit: int) -> tuple[list, int]:

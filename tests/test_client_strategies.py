@@ -298,8 +298,8 @@ class TestRequestCounts:
 
 
 class TestFlashWrite:
-    """A FLASH memory list repeats once per variable, so list and sieving
-    writes gather it by columns. Random plans never repeat, so this is the
+    """A FLASH cell keeps its variables side by side, so list and sieving
+    writes gather it by fields. Random plans never repeat, so this is the
     one live test of that path."""
 
     def test_every_strategy_writes_the_oracle_file(self, cluster, unique_name,
@@ -319,15 +319,18 @@ class TestFlashWrite:
                 want[at : at + n] = buf[off : off + n]
         base = rng.randbytes(size)
         files = {}
-        # A batch of 5 regions is 2.5 variables: a sub-range that is copied
-        # by runs. One of 19 is 9.5 variables, copied by columns with half
-        # a variable by runs at one end.
+        # A batch of 3 regions is 1.5 variables: a sub-range that is copied
+        # by runs. One of 5 is 2.5 variables and one of 19 is 9.5: their
+        # whole variables are gathered by fields, with half a variable by
+        # runs at one end.
         for name, limit, write in (
                 ("multiple", 64,
                  lambda s, plan, buf: access_multiple(s, plan, buf, "write")),
                 ("list", 64,
                  lambda s, plan, buf: access_list(s, plan, buf, "write")),
                 ("sieving", 64, access_sieving_write),
+                ("list of 3", 3,
+                 lambda s, plan, buf: access_list(s, plan, buf, "write")),
                 ("list of 5", 5,
                  lambda s, plan, buf: access_list(s, plan, buf, "write")),
                 ("list of 19", 19,
@@ -1049,6 +1052,56 @@ def periodic_lists(draw):
     return mem, size, kind
 
 
+@st.composite
+def record_lists(draw):
+    """(memory list, element size, kind, fields): records of 2-7 fields,
+    listed field by field as FLASH lists its variables, every record's
+    field m after every record's field m - 1. Rows hold 2-5 records back
+    to back, a gap of 1-12 bytes before each; a last row may hold one.
+    (Run grouping would pair a row of one record with the next row's
+    first record, at a stride that is not a record's, as in "subset".)
+
+    "fields" lays the fields side by side, one element of 1, 2, 4 or 8
+    bytes each. The other kinds must gather by runs: "spaced" puts fields
+    two elements apart, "subset" lists only some fields of larger records,
+    "odd" uses 3-byte elements, and "zero" lists field 0 every time."""
+    kind = draw(st.sampled_from(["fields", "fields", "spaced", "subset",
+                                 "odd", "zero"]))
+    size = 3 if kind == "odd" else draw(st.sampled_from([1, 2, 4, 8]))
+    fields = draw(st.integers(2, 7))
+    step = {"spaced": 2 * size, "zero": 0}.get(kind, size)
+    record = max(step, size) * (fields + (draw(st.integers(1, 3))
+                                          if kind == "subset" else 0))
+    rows = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    rows += [1] * draw(st.integers(0, 1))
+    starts, at = [], 0
+    for count in rows:
+        at += draw(st.integers(1, 12))
+        starts += [at + r * record for r in range(count)]
+        at = starts[-1] + record
+    mem = [(start + m * step, size) for m in range(fields) for start in starts]
+    return mem, size, kind, fields
+
+
+class _CountingArray(array):
+    """A staging array that records the rows copied into it and the
+    strided slices taken of it."""
+
+    def __new__(cls, typecode, staged):
+        self = super().__new__(cls, typecode)
+        self.rows, self.slices = [], []
+        staged.append(self)
+        return self
+
+    def frombytes(self, data):
+        self.rows.append(len(data))
+        super().frombytes(data)
+
+    def __getitem__(self, index):
+        self.slices.append(index)
+        return super().__getitem__(index)
+
+
 class _CountingView:
     """An element view that counts the strided copies made into it."""
 
@@ -1220,7 +1273,7 @@ class TestScatterGather:
         cyclic = gen_cyclic(CyclicSpec(clients=2, client_id=0,
                                        total_bytes=1 << 16, accesses=64))
         assert run_repeat(cyclic.mem_runs) is None
-        assert cyclic.mem_columns is None
+        assert cyclic.mem_fields is None
         mem, _buflen = random_mem_regions(random.Random(3), 4096)
         assert run_repeat(make_plan([(0, 4096)], mem).mem_runs) is None
 
@@ -1247,10 +1300,10 @@ class TestScatterGather:
             # The buffer seen from `base` on, as a sieving window is.
             taken = bytearray(length)
             _move(plan.mem_runs, image[base:], pos, taken, False, base,
-                  columns=plan.mem_columns)
+                  fields=plan.mem_fields)
             assert taken == flat[pos : pos + length]
-        if size == 3 or kind == "zero":
-            assert plan.mem_columns is None
+        if size == 3 or kind != "elements":
+            assert plan.mem_fields is None
 
     @given(case=periodic_lists(), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -1271,52 +1324,74 @@ class TestScatterGather:
                 for m in range(copies)
                 for pos, offset, *shape in runs[:width]]
 
-    @pytest.mark.parametrize("size", [1, 2, 4, 8])
-    def test_columns_of_each_element_size(self, size):
-        # Two runs of 4 elements, at offsets of different residues, in 16
-        # copies one element apart: 8 columns of 16, not 32 runs of 4.
-        template = ([(1 + k * 3 * size, size) for k in range(4)]
-                    + [(100 * size + k * 2 * size, size) for k in range(4)])
-        mem = [(off + m * size, n) for m in range(16) for off, n in template]
-        plan = make_plan([(0, len(mem) * size)], mem)
-        image = random.Random(size).randbytes(max(off for off, _n in mem)
-                                              + size + 3)
+    @given(case=record_lists(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_record_fields_gather_as_the_flat_join(self, case, data):
+        mem, size, kind, nfields = case
+        total = sum(n for _off, n in mem)
+        plan = AccessPlan(RegionList(mem), RegionList([(0, total)]))
+        buflen = max(off + n for off, n in mem) + data.draw(st.integers(0, 7))
+        image = data.draw(st.binary(min_size=buflen, max_size=buflen))
         flat = b"".join(image[off : off + n] for off, n in mem)
-        assert plan.gather(image, 0, len(flat)) == flat
-        assert len(plan.mem_columns[2]) == 8
-
-    @pytest.mark.parametrize("size, shift", [(3, 3), (4, 6), (8, 0)])
-    def test_no_columns_without_whole_element_shifts(self, size, shift):
-        template = [(k * 4 * size, size) for k in range(4)] + [(99, size)]
-        mem = [(off + m * shift, n) for m in range(16) for off, n in template]
-        plan = make_plan([(0, len(mem) * size)], mem)
-        image = random.Random(size).randbytes(200)
-        flat = b"".join(image[off : off + n] for off, n in mem)
-        assert plan.gather(image, 0, len(flat)) == flat
-        assert run_repeat(plan.mem_runs) is not None
-        assert plan.mem_columns is None
+        # The plan bytes of one copy: one field of every record.
+        copy = total // nfields
+        fields = plan.mem_fields
+        assert (fields is not None) == (kind == "fields")
+        assert fields is None or fields[1:] == (nfields, size, copy)
+        elements = total // size
+        first = data.draw(st.integers(0, elements - 1))
+        last = data.draw(st.integers(first + 1, elements))
+        pos = data.draw(st.integers(0, total - 1))
+        length = data.draw(st.integers(1, total - pos))
+        base = data.draw(st.integers(0, min(off for off, _n in mem)))
+        calls = []
+        real = client_module._gather_fields
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(client_module, "_gather_fields",
+                       lambda *args: calls.append(1) or real(*args))
+            # The whole plan, whole elements, then a range cut anywhere.
+            for pos, length in ((0, total),
+                                (first * size, (last - first) * size),
+                                (pos, length)):
+                whole = (pos + length) // copy - -(-pos // copy)
+                del calls[:]
+                want = flat[pos : pos + length]
+                assert plan.gather(image, pos, length) == want
+                # The buffer seen from `base` on, as a sieving window is.
+                taken = bytearray(length)
+                _move(plan.mem_runs, image[base:], pos, taken, False, base,
+                      fields=fields)
+                assert taken == want
+                # Two whole copies or more go by fields: the whole plan does.
+                assert len(calls) == (2 if kind == "fields" and whole >= 2
+                                      else 0)
 
     def _gather_copies(self, monkeypatch, plan, buffer, pos, length):
         """The strided copies that gathering plan bytes [pos, pos+length)
-        makes."""
-        copies = []
+        makes by runs, and the staging arrays it makes by fields."""
+        copies, staged = [], []
         real = client_module._elements
         monkeypatch.setattr(
             client_module, "_elements",
             lambda view, size, skip: _CountingView(real(view, size, skip),
                                                    copies))
+        monkeypatch.setattr(client_module, "array",
+                            lambda typecode: _CountingArray(typecode, staged))
         plan.gather(buffer, pos, length)
-        return copies
+        return copies, staged
 
-    def test_flash_gather_copies_by_columns(self, monkeypatch):
+    def test_flash_gather_copies_rows_then_fields(self, monkeypatch):
         spec = FlashSpec(procs=2, proc_id=0, nblocks=2)
         plan = gen_flash(spec)
         buffer = bytearray(spec.nblocks * spec.mem_block_bytes)
-        copies = self._gather_copies(monkeypatch, plan, buffer, 0,
-                                     plan.total_length)
-        # One per template element, 24 elements each: not 3,072 runs of 8.
-        assert len(copies) == 1024
-        assert {len(range(*index.indices(1 << 40))) for index in copies} == {24}
+        copies, (staging,) = self._gather_copies(monkeypatch, plan, buffer, 0,
+                                                 plan.total_length)
+        # 128 rows of 8 cells of 24 variables, then one slice per variable
+        # of its 1,024 elements: not 1,024 columns, nor 3,072 runs of 8.
+        assert copies == []
+        assert staging.rows == [8 * 24 * 8] * 128
+        assert [len(range(*index.indices(len(staging))))
+                for index in staging.slices] == [1024] * 24
 
     def test_default_cube_batch_keeps_the_run_path(self, monkeypatch):
         spec = FlashSpec(procs=2, proc_id=0)
@@ -1324,8 +1399,12 @@ class TestScatterGather:
         ((pos, length, _waves), *_rest), _largest = plan.list_requests(
             SP, wire.MAX_LIST_REGIONS)
         buffer = bytearray(spec.nblocks * spec.mem_block_bytes)
-        copies = self._gather_copies(monkeypatch, plan, buffer, pos, length)
-        # The repeat is one variable of 80 blocks, more than a batch of 64
-        # regions covers: one copy per row run of 8.
-        assert plan.mem_columns[0].width == 80 * 64
+        copies, staged = self._gather_copies(monkeypatch, plan, buffer, pos,
+                                             length)
+        # A copy is one variable of 80 blocks, more than a batch of 64
+        # regions covers: one copy per row run of 8, and no staging.
+        assert plan.mem_fields[3] == (spec.nblocks * spec.interior_elements
+                                      * spec.element_size)
+        assert length < 2 * plan.mem_fields[3]
+        assert staged == []
         assert len(copies) == length // 64
