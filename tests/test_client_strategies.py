@@ -1366,6 +1366,42 @@ class TestScatterGather:
                 assert len(calls) == (2 if kind == "fields" and whole >= 2
                                       else 0)
 
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_columns_of_each_element_size(self, size, monkeypatch):
+        # Records of 16 one-element fields, listed field by field: two rows
+        # of 4 records, at offsets of different residues. The 16 columns of
+        # fields gather by fields from 2 rows, not as 32 runs of 4.
+        record = 16 * size
+        template = ([(1 + k * record, size) for k in range(4)]
+                    + [(100 * size + k * record, size) for k in range(4)])
+        mem = [(off + m * size, n) for m in range(16) for off, n in template]
+        plan = make_plan([(0, len(mem) * size)], mem)
+        image = random.Random(size).randbytes(max(off for off, _n in mem)
+                                              + size + 3)
+        flat = b"".join(image[off : off + n] for off, n in mem)
+        calls = []
+        real = client_module._gather_fields
+        monkeypatch.setattr(client_module, "_gather_fields",
+                            lambda *args: calls.append(1) or real(*args))
+        assert plan.gather(image, 0, len(flat)) == flat
+        assert plan.mem_fields == ([(1, 4 * record), (100 * size, 4 * record)],
+                                   16, size, 8 * size)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("size, shift", [(3, 3), (4, 6), (8, 0)])
+    def test_no_columns_without_whole_element_shifts(self, size, shift):
+        # Runs at the stride of a 16-field record, repeated 16 times: they
+        # are fields only with a shift of one element of 1, 2, 4 or 8 bytes.
+        template = [(k * 16 * size, size) for k in range(4)] + [(99 * size, size)]
+        mem = [(off + m * shift, n) for m in range(16) for off, n in template]
+        plan = make_plan([(0, len(mem) * size)], mem)
+        image = random.Random(size).randbytes(max(off for off, _n in mem)
+                                              + size)
+        flat = b"".join(image[off : off + n] for off, n in mem)
+        assert plan.gather(image, 0, len(flat)) == flat
+        assert run_repeat(plan.mem_runs) is not None
+        assert plan.mem_fields is None
+
     def _gather_copies(self, monkeypatch, plan, buffer, pos, length):
         """The strided copies that gathering plan bytes [pos, pos+length)
         makes by runs, and the staging arrays it makes by fields."""
