@@ -153,13 +153,6 @@ class CellResult:
     failure: str | None = None
 
     @property
-    def per_client_logical_requests(self) -> int:
-        values = {m.logical_requests for m in self.reps[0].per_client}
-        if len(values) != 1:
-            raise BenchError(f"non-uniform per-client request counts: {values}")
-        return values.pop()
-
-    @property
     def mean_wall(self) -> float:
         return sum(r.wall for r in self.reps) / len(self.reps)
 
@@ -269,8 +262,8 @@ def _prepare_file(manager_addr: str, name: str, striping: StripingParams,
 
 def first_divergence(a, b) -> int | None:
     """Index of the first differing byte, or None when equal."""
-    if bytes(a) == bytes(b):
-        return None if len(a) == len(b) else min(len(a), len(b))
+    if a == b:
+        return None
     n = min(len(a), len(b))
     step = 1 << 16
     for off in range(0, n, step):
@@ -286,10 +279,8 @@ def first_divergence(a, b) -> int | None:
 def expected_read_buffer(plan, image, buffer_len: int) -> bytearray:
     """Flat-oracle extraction of the plan's file bytes into a fresh buffer."""
     buf = bytearray(buffer_len)
-    pos = 0
-    for r in plan.file:
-        plan.scatter(buf, pos, memoryview(image)[r.offset : r.end])
-        pos += r.length
+    view = memoryview(image)
+    plan.scatter(buf, b"".join(view[r.offset : r.end] for r in plan.file))
     return buf
 
 
@@ -401,7 +392,7 @@ def run_matrix(config: BenchConfig, cluster: Cluster | None = None) -> BenchRepo
                         stream = workloads.client_stream(
                             config.seed, name, i, plan.total_length
                         )
-                        plan.scatter(buf, 0, stream)
+                        plan.scatter(buf, stream)
                         buffers.append(buf)
 
                 cell = CellResult(config.workload, strategy, config.clients,

@@ -18,13 +18,16 @@ strategies differ only in the logical requests they hand it:
                     regions, carried as trailing data. A plan fans its
                     batches out once per striping and keeps the messages.
 
-Plan bytes move between buffer and messages with _move, which copies each
-strided run the range covers whole in one tight loop, or, to gather a plan
-whose memory regions are the fields of records (FLASH's cells), each row of
-records whole into a staging array, then one strided slice of it per copy.
-An AccessPlan keeps what it builds on first use, so it is immutable once
-used. Every API call counts its buffer in bytes, whatever the buffer's
-item size.
+A list or sieving access moves its plan's bytes between the buffer and one
+staging buffer once (_plan_bytes), unless the plan's memory is one span,
+which is used in place; so an access stages at most the plan's bytes. Its
+batches and windows then take slices of the staging. Bytes move along
+whole run lists with _move, which copies each strided run whole in one
+tight loop, or, to gather a plan whose memory regions are the fields of
+records (FLASH's cells), each row of records whole into a staging array,
+then one strided slice of it per copy. An AccessPlan keeps what it builds
+on first use, so it is immutable once used. Every API call counts its
+buffer in bytes, whatever the buffer's item size.
 
 All strategies move byte-identical data; they differ in request counts and
 in how much unwanted data crosses the wire, which ClientMetrics records.
@@ -61,7 +64,6 @@ from .regions import (  # noqa: F401
     fan_out,
     inverse_stripe_location,
     iter_transfer_pieces,
-    run_repeat,
     server_spans,
     stripe_chunks,
     strided_runs,
@@ -143,72 +145,38 @@ def _elements(view: memoryview, size: int, skip: int) -> memoryview:
         _ELEMENT_FORMATS[size])
 
 
-def _gather_fields(fields, b: memoryview, d: memoryview, first: int,
-                   base: int) -> None:
-    """Copy whole copies first, first+1, ... of the repeat out of `b`, which
-    holds their regions at their offsets minus `base`, into `d`: each
-    template run's records whole into one staging array of the element's
-    format, then one strided slice of it per copy. Slicing an array with a
-    step copies its elements in one pass. The staging array holds every
-    copy of the repeat, so at most the plan's bytes, whatever the range."""
-    records, copies, size, _shift = fields
+def _gather_fields(fields, b: memoryview, d: memoryview) -> None:
+    """Copy every copy of the repeat out of `b` into `d`, in copy order:
+    each template run's records whole into one staging array of the
+    element's format, then one strided slice of it per copy. Slicing an
+    array with a step copies its elements in one pass. The staging array
+    holds the plan's bytes."""
+    records, copies, size = fields
     staging = array(_ELEMENT_FORMATS[size])
     for at, k in records:
-        staging.frombytes(b[at - base : at - base + k])
+        staging.frombytes(b[at : at + k])
     d_elements = d.cast(_ELEMENT_FORMATS[size])
     width = len(staging) // copies
-    for m in range(len(d_elements) // width):
-        d_elements[m * width : (m + 1) * width] = staging[first + m :: copies]
+    for m in range(copies):
+        d_elements[m * width : (m + 1) * width] = staging[m::copies]
 
 
-def _move(runs, buffer, pos: int, data, into_buffer: bool, base: int = 0,
-          fields=None) -> None:
-    """Copy bytes [pos, pos+len(data)) of strided runs' flattened order
-    between `data`, which holds them in that order, and `buffer`, which
-    holds each run's regions at their offsets minus `base`: into `buffer`
-    when `into_buffer`, else into `data`. Regions are written in run
-    order, so where they overlap the later one wins.
+def _move(runs, buffer, data, into_buffer: bool) -> None:
+    """Copy the bytes of strided runs between `data`, which holds each run's
+    bytes from its `pos` on, and `buffer`, which holds its regions at their
+    offsets: into `buffer` when `into_buffer`, else into `data`. Regions
+    are written in run order, so where they overlap the later one wins.
 
-    `fields` are the runs' fields (AccessPlan.mem_fields), used only to
-    copy out of the buffer. When the range holds two or more whole copies
-    of the repeat, they are gathered by fields (_gather_fields), and only
-    the parts of a copy at either end go by runs.
-
-    A run that the range covers only in part is first cut to the whole
-    regions and parts of one region that it covers. Then one tight loop
-    copies each run whole: a back-to-back run as one slice; elements of 1,
-    2, 4 or 8 bytes at a stride that is a multiple of their size as one
-    strided slice of element views of buffer and data, cast once per call;
-    any other run one region at a time, in order.
+    One tight loop copies each run whole: a back-to-back run as one slice;
+    elements of 1, 2, 4 or 8 bytes at a stride that is a multiple of their
+    size as one strided slice of element views of buffer and data, cast
+    once per call; any other run one region at a time, in order.
     """
     b = memoryview(buffer).cast("B")
     d = memoryview(data).cast("B")
-    n = len(d)
-    if not n:
-        return
-    end = pos + n
-    if fields is not None and not into_buffer:
-        shift = fields[3]  # the plan bytes of one copy
-        first, last = -(-pos // shift), end // shift
-        if last - first >= 2:
-            head, tail = first * shift - pos, last * shift - pos
-            _move(runs, b, pos, d[:head], False, base)
-            _gather_fields(fields, b, d[head:tail], first, base)
-            _move(runs, b, last * shift, d[tail:], False, base)
-            return
-    work = runs[bisect_right(runs, pos, key=_run_pos) - 1
-                : bisect_right(runs, end - 1, key=_run_pos)]
-    start, _offset, size, _stride, count = work[-1]
-    if end < start + size * count:
-        work[-1:] = _trim(work[-1], max(pos - start, 0), end - start)
-    start, _offset, size, _stride, count = work[0]
-    if pos > start:
-        work[:1] = _trim(work[0], pos - start, size * count)
     # The element size, and the byte offsets mod it, of the element views.
     el_size = b_skip = d_skip = 0
-    for start, offset, size, stride, count in work:
-        at = offset - base
-        p = start - pos
+    for p, at, size, stride, count in runs:
         if stride == size:
             k = size * count
             if into_buffer:
@@ -247,11 +215,12 @@ class AccessPlan:
     non-overlapping; the memory list may be in any order.
 
     Both lists are walked as strided runs (regions.strided_runs), each
-    built on first use: the memory runs move plan bytes to and from the
-    buffer, the file runs to and from sieving windows. A gather copies by
-    fields when the memory regions are the fields of records (mem_fields,
-    found on the first gather); a scatter always goes by runs. The list
-    messages are fanned out once per striping and batch limit
+    built on first use: the memory runs move the plan's bytes to and from
+    the buffer, whole, once per access (gather and scatter), and the file
+    runs, cut per window, move them to and from sieving windows. A gather
+    copies by fields when the memory regions are the fields of records
+    (mem_fields, found on the first gather); a scatter always goes by runs.
+    The list messages are fanned out once per striping and batch limit
     (list_requests). So a plan is immutable once used: what it built for
     its first access serves every later one.
     """
@@ -281,52 +250,50 @@ class AccessPlan:
 
     @cached_property
     def mem_fields(self):
-        """(records, copies, size, pos_shift) when each memory region is one
-        element of a size of _ELEMENT_FORMATS and the runs repeat
-        (regions.run_repeat) one element further on in memory, every
-        template run of two or more elements `copies` elements apart; else
-        None, as when the memory is one region. Then each template element
-        and its copies are the adjacent fields of one record, and a run's
-        records sit back to back: `records` holds each template run's
-        (offset, bytes)."""
+        """(records, copies, size) when each memory region is one element of
+        a size of _ELEMENT_FORMATS and the runs are `copies` copies of the
+        first ones, each copy one element further on in memory, and every
+        template run of two or more elements is `copies` elements apart;
+        else None, as when the memory is one region. Then each template
+        element and its copies are the adjacent fields of one record, and
+        a run's records sit back to back: `records` holds each template
+        run's (offset, bytes). The second copy starts at the first run
+        one element past the first run."""
         runs = self.mem_runs
-        repeat = run_repeat(runs)
-        if repeat is None:
+        if not runs or runs[0].size not in _ELEMENT_FORMATS:
             return None
-        width, copies, pos_shift, offset_shift = repeat
         size = runs[0].size
+        second = runs[0].offset + size
+        width = next((i for i, run in enumerate(runs) if run.offset == second),
+                     0)
+        if not width or len(runs) % width:
+            return None
+        copies = len(runs) // width
         record = copies * size
         template = runs[:width]
-        if (offset_shift != size or size not in _ELEMENT_FORMATS
-                or any(run.size != size
-                       or (run.count > 1 and run.stride != record)
-                       for run in template)):
+        if (any(run.size != size or (run.count > 1 and run.stride != record)
+                for run in template)
+                or any(b.offset - a.offset != size or b[2:] != a[2:]
+                       for a, b in zip(runs, runs[width:]))):
             return None
-        return ([(run.offset, run.count * record) for run in template],
-                copies, size, pos_shift)
+        return [(run.offset, run.count * record) for run in template], copies, size
 
-    def mem_span(self, buffer, pos: int, length: int):
-        """The buffer slice holding plan bytes [pos, pos+length) when they
-        lie in one memory region, else None."""
-        runs = self.mem_runs
-        start, offset, size, stride, _count = runs[
-            bisect_right(runs, pos, key=_run_pos) - 1]
-        element, intra = divmod(pos - start, size)
-        if intra + length > size:
-            return None
-        at = offset + element * stride + intra
-        return buffer[at : at + length]
+    def scatter(self, buffer, data) -> None:
+        """Copy the plan's bytes, `data` in plan order, into the memory
+        regions."""
+        _move(self.mem_runs, buffer, data, True)
 
-    def scatter(self, buffer, pos: int, data) -> None:
-        """Copy plan bytes [pos, pos+len(data)) into the memory regions."""
-        _move(self.mem_runs, buffer, pos, data, True)
-
-    def gather(self, buffer, pos: int, length: int) -> bytearray:
-        """Collect plan bytes [pos, pos+length) from the memory regions."""
-        # One output buffer, not one bytes object per region: a batch of
+    def gather(self, buffer) -> bytearray:
+        """Collect the plan's bytes, in plan order, from the memory regions."""
+        # One output buffer, not one bytes object per region: a plan of
         # single-element regions would otherwise hold thousands at once.
-        out = bytearray(length)
-        _move(self.mem_runs, buffer, pos, out, False, fields=self.mem_fields)
+        out = bytearray(self.total_length)
+        fields = self.mem_fields
+        if fields is None:
+            _move(self.mem_runs, buffer, out, False)
+        else:
+            _gather_fields(fields, memoryview(buffer).cast("B"),
+                           memoryview(out))
         return out
 
     def list_requests(self, sp: StripingParams, limit: int) -> tuple[list, int]:
@@ -349,10 +316,13 @@ class AccessPlan:
         return made
 
     def windows(self, size: int):
-        """Yield (ws, we, first, last) for each window [ws, we) that tiles
-        the file extent from its start in `size` steps and holds plan
+        """Yield (ws, we, first, last, runs) for each window [ws, we) that
+        tiles the file extent from its start in `size` steps and holds plan
         bytes: [first, last) are the plan bytes whose file offsets lie in
-        it. Windows that hold none are skipped; the plan is not empty."""
+        it, and `runs` the file runs that hold them, cut to the whole
+        regions and parts of one region in the window, with positions
+        counted from `first` and offsets from `ws`. Windows that hold none
+        are skipped; the plan is not empty."""
         runs = self.file_runs
         ext = extent(self.file)
         last = 0
@@ -363,24 +333,36 @@ class AccessPlan:
                 bisect_right(runs, we, key=_run_offset) - 1]
             element, intra = divmod(we - offset, stride)
             first, last = last, pos + min(element * n + min(intra, n), n * count)
-            if first < last:
-                yield ws, we, first, last
+            if first == last:
+                continue
+            cut = runs[bisect_right(runs, first, key=_run_pos) - 1
+                       : bisect_right(runs, last - 1, key=_run_pos)]
+            pos, _offset, n, _stride, count = cut[-1]
+            if last < pos + n * count:
+                cut[-1:] = _trim(cut[-1], max(first - pos, 0), last - pos)
+            pos, _offset, n, _stride, count = cut[0]
+            if first > pos:
+                cut[:1] = _trim(cut[0], first - pos, n * count)
+            yield ws, we, first, last, [(p - first, at - ws, *shape)
+                                        for p, at, *shape in cut]
 
 
 @contextmanager
-def _plan_bytes(plan: AccessPlan, view, pos: int, length: int, reading: bool):
-    """Plan bytes [pos, pos+length) in plan order: the buffer's own slice
-    when they lie in one memory region, else a staging buffer, gathered
-    before a write or scattered after a read."""
-    direct = plan.mem_span(view, pos, length)
-    if direct is not None:
-        yield direct
+def _plan_bytes(plan: AccessPlan, view, reading: bool):
+    """The plan's bytes in plan order, for one access: the buffer's own
+    slice when the memory runs are one span, else one staging buffer of
+    the plan's bytes, gathered before a write or scattered after a read.
+    So an access stages at most the plan's bytes, once; and a read that
+    fails leaves the buffer unscattered."""
+    runs = plan.mem_runs
+    if len(runs) == 1 and runs[0].stride == runs[0].size:
+        yield view[runs[0].offset : runs[0].offset + plan.total_length]
     elif reading:
-        staged = bytearray(length)
+        staged = bytearray(plan.total_length)
         yield memoryview(staged)
-        plan.scatter(view, pos, staged)
+        plan.scatter(view, staged)
     else:
-        yield memoryview(plan.gather(view, pos, length))
+        yield memoryview(plan.gather(view))
 
 
 class _Channel:
@@ -649,7 +631,7 @@ def _exchange(session: FileSession, opcode: int, waves, view) -> None:
                 payload = view[runs[0][1] : runs[0][1] + total]
             else:
                 payload = bytearray(total)
-                _move(runs, view, 0, payload, False)
+                _move(runs, view, payload, False)
             rid = channel.send(opcode, session.handle, offset, total,
                                trailing, payload)
             sent.append((channel, rid, out, total, runs))
@@ -657,7 +639,7 @@ def _exchange(session: FileSession, opcode: int, waves, view) -> None:
             reply = channel.receive(rid, out)
             _counted(m, opcode, reply, total)
             if reading and out is None:
-                _move(runs, view, 0, memoryview(reply), True)
+                _move(runs, view, memoryview(reply), True)
 
 
 def _counted(m: ClientMetrics, opcode: int, reply, total: int) -> None:
@@ -734,20 +716,20 @@ def access_multiple(
     return _accounted(session, plan.total_length, body)
 
 
-def _sieve(session: FileSession, plan: AccessPlan, view: memoryview,
+def _sieve(session: FileSession, plan: AccessPlan, staged: memoryview,
            writing: bool) -> None:
-    """Read each extent window that holds plan bytes whole, then move the
-    plan's bytes out of it, or into it and write it back whole. A window's
-    plan bytes move with one walk of the plan's file runs."""
+    """Read each extent window that holds plan bytes whole, then move its
+    plan bytes out of it into `staged`, the plan's bytes in plan order, or
+    into it from `staged` and write it back whole. A window's plan bytes
+    move with one walk of its cut file runs (AccessPlan.windows)."""
     if not len(plan.file):
         return
     scratch = session._scratch_view(min(SIEVING_WINDOW,
                                         extent(plan.file).length))
-    for ws, we, first, last in plan.windows(SIEVING_WINDOW):
+    for ws, we, first, last, runs in plan.windows(SIEVING_WINDOW):
         window = scratch[: we - ws]
         _contiguous(session, wire.READ, ws, window)
-        with _plan_bytes(plan, view, first, last - first, not writing) as stretch:
-            _move(plan.file_runs, window, first, stretch, writing, ws)
+        _move(runs, window, staged[first:last], writing)
         if writing:
             _contiguous(session, wire.WRITE, ws, window)
 
@@ -755,9 +737,17 @@ def _sieve(session: FileSession, plan: AccessPlan, view: memoryview,
 def access_sieving_read(
     session: FileSession, plan: AccessPlan, buffer
 ) -> ClientMetrics:
-    """Fetch the plan extent in large windows, scattering wanted bytes."""
-    return _accounted(session, plan.total_length, _sieve,
-                      session, plan, memoryview(buffer).cast("B"), False)
+    """Fetch the plan extent in large windows, scattering wanted bytes.
+    A plan whose memory is not one span is staged: the buffer is filled
+    with one scatter once every window is read, so a failed access leaves
+    it untouched."""
+    view = memoryview(buffer).cast("B")
+
+    def body():
+        with _plan_bytes(plan, view, True) as staged:
+            _sieve(session, plan, staged, False)
+
+    return _accounted(session, plan.total_length, body)
 
 
 def access_sieving_write(
@@ -767,18 +757,22 @@ def access_sieving_write(
 
     Every non-empty window is read in full, overlaid with plan bytes, and
     written back in full, so bytes outside the plan's regions survive. The
-    token is held across all windows of the access.
+    token is held across all windows of the access. A plan whose memory is
+    not one span is gathered once, before the token is taken, into one
+    staging buffer of the plan's bytes; so only the window reads, the
+    overlays and the writes hold the token.
     """
     view = memoryview(buffer).cast("B")
 
     def body():
         if not len(plan.file):
             return
-        session.acquire_token()
-        try:
-            _sieve(session, plan, view, True)
-        finally:
-            session.release_token()
+        with _plan_bytes(plan, view, False) as staged:
+            session.acquire_token()
+            try:
+                _sieve(session, plan, staged, True)
+            finally:
+                session.release_token()
 
     return _accounted(session, plan.total_length, body)
 
@@ -793,9 +787,12 @@ def access_list(
     at the same limit per wire message. The messages are fanned out once
     per plan, striping and limit (AccessPlan.list_requests) and reused by
     every later access. A plan with a message over wire.MAX_PAYLOAD raises
-    ValueError before any message is sent. A batch whose plan bytes lie
-    in one memory region moves straight to and from the buffer; any other
-    batch is staged in file order and scattered or gathered once.
+    ValueError before any message is sent. A plan whose memory is one
+    span moves straight to and from the buffer. Any other plan is staged
+    once per access (_plan_bytes), in plan order, which is the file order:
+    a write gathers it before the first batch, and a read scatters it after
+    the last, so a read that fails leaves the buffer untouched. Each batch
+    takes its slice of the staging.
     """
     opcode = _direction_opcode(direction, wire.READ_LIST, wire.WRITE_LIST)
     view = memoryview(buffer).cast("B")
@@ -804,9 +801,9 @@ def access_list(
         requests, largest = plan.list_requests(session.striping,
                                                wire.MAX_LIST_REGIONS)
         _check_cap(largest)
-        for pos, n, waves in requests:
-            with _plan_bytes(plan, view, pos, n, opcode == wire.READ_LIST) as part:
-                _exchange(session, opcode, waves, part)
+        with _plan_bytes(plan, view, opcode == wire.READ_LIST) as staged:
+            for pos, n, waves in requests:
+                _exchange(session, opcode, waves, staged[pos : pos + n])
 
     return _accounted(session, plan.total_length, body)
 

@@ -10,7 +10,7 @@ offsets and lengths are byte counts that must fit in 64 bits.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -170,37 +170,6 @@ def strided_runs(regions: Iterable[tuple[int, int]]) -> list[Run]:
     if count:
         runs.append(Run(start, offset, size, stride, count))
     return runs
-
-
-class Repeat(NamedTuple):
-    """A run list that is `copies` copies of its first `width` runs, copy m
-    shifted by m * `pos_shift` in position and m * `offset_shift` in
-    offset."""
-
-    width: int
-    copies: int
-    pos_shift: int
-    offset_shift: int
-
-
-def run_repeat(runs: Sequence[Run]) -> Repeat | None:
-    """The repeat of `runs` with the narrowest copy, or None when the list is
-    not two or more shifted copies of its first runs. A FLASH memory list
-    is one variable's rows, repeated once per variable."""
-    n = len(runs)
-    for width in range(1, n // 2 + 1):
-        if n % width:
-            continue
-        first, copy = runs[0], runs[width]
-        shift = copy[1] - first[1]
-        # Probes first: the second copy's first shape, the last copy's first
-        # offset; then every run, stopping at the first that differs.
-        if (copy[2:] == first[2:]
-                and runs[n - width][1] - first[1] == (n // width - 1) * shift
-                and all(b[1] - a[1] == shift and b[2:] == a[2:]
-                        for a, b in zip(runs, islice(runs, width, None)))):
-            return Repeat(width, n // width, copy[0] - first[0], shift)
-    return None
 
 
 def stripe_location(offset: int, sp: StripingParams) -> tuple[int, int]:
@@ -401,7 +370,3 @@ def extent(file_regions: RegionList) -> Region:
     last = file_regions[len(file_regions) - 1]
     return Region(first.offset, last.end - first.offset)
 
-
-def useful_fraction(file_regions: RegionList) -> float:
-    """Requested bytes over extent bytes; the sieving waste metric."""
-    return file_regions.total_length / extent(file_regions).length

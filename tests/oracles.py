@@ -10,6 +10,7 @@ which is checked against deal_layout on its own.
 
 from __future__ import annotations
 
+from listio_pfs.errors import PlanError
 from listio_pfs.regions import (
     MAX_LIST_REGIONS,
     Message,
@@ -99,6 +100,25 @@ def count_windows(regions, window: int) -> int:
         if any(off < we and off + ln > ws for off, ln in regions):
             hit += 1
     return hit
+
+
+def useful_fraction(regions) -> float:
+    """Requested bytes over the extent's bytes, the sieving waste metric,
+    from the regions' own offsets: the extent runs from the lowest offset
+    to the highest end. An empty list has no extent."""
+    if not len(regions):
+        raise PlanError("useful fraction of an empty region list")
+    lo = min(off for off, _n in regions)
+    hi = max(off + n for off, n in regions)
+    return sum(n for _off, n in regions) / (hi - lo)
+
+
+def per_client_logical_requests(cell) -> int:
+    """The logical request count of each client in a bench cell's first
+    rep, which must be the same for every client."""
+    values = {m.logical_requests for m in cell.reps[0].per_client}
+    assert len(values) == 1, f"non-uniform per-client request counts: {values}"
+    return values.pop()
 
 
 def coalesce_bitmap(regions) -> list[tuple[int, int]]:

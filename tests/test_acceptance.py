@@ -33,7 +33,6 @@ from listio_pfs.regions import (
     StripingParams,
     count_transfer_pieces,
     extent,
-    useful_fraction,
 )
 from listio_pfs.workloads import (
     FlashSpec,
@@ -48,9 +47,11 @@ from listio_pfs.workloads import (
 from oracles import (
     count_windows,
     overlay,
+    per_client_logical_requests,
     random_file_regions,
     random_mem_regions,
     tiled_reference_rows,
+    useful_fraction,
 )
 
 MIB = 1024 * 1024
@@ -87,12 +88,12 @@ def test_criterion_1_flash_request_counts(cluster):
     )
     play = run_matrix(config, cluster)
     assert play.all_verified
-    multiple = play.cell("multiple").per_client_logical_requests
+    multiple = per_client_logical_requests(play.cell("multiple"))
     assert multiple == 98304 == 983040 // 10
-    assert play.cell("list").per_client_logical_requests == 3 == math.ceil(
+    assert per_client_logical_requests(play.cell("list")) == 3 == math.ceil(
         8 * 24 / 64
     )
-    assert play.cell("sieving").per_client_logical_requests == 2  # 1 window RMW
+    assert per_client_logical_requests(play.cell("sieving")) == 2  # 1 window RMW
     for metrics in play.cell("multiple").reps[0].per_client:
         assert metrics.useful_bytes == 7864320 // 10
     report(1, "flash request counts",
@@ -113,8 +114,8 @@ def test_criterion_2_tiled_request_counts(cluster):
     )
     play = run_matrix(config, cluster)
     assert play.all_verified
-    assert play.cell("multiple").per_client_logical_requests == 768
-    assert play.cell("list").per_client_logical_requests == 12
+    assert per_client_logical_requests(play.cell("multiple")) == 768
+    assert per_client_logical_requests(play.cell("list")) == 12
 
     useful = 1024 * 3 * 768
     sieving = play.cell("sieving").reps[0].per_client
@@ -155,7 +156,7 @@ def test_criterion_3_oracle_equivalence(cluster):
         with pvfs_create(cluster.manager_addr, f"acc3-r-{trial}", sp) as session:
             pvfs_write(session, 0, base)
             expected = bytearray(buflen)
-            plan.scatter(expected, 0, b"".join(
+            plan.scatter(expected, b"".join(
                 base[off : off + ln] for off, ln in file_regions
             ))
             for runner in (
@@ -168,7 +169,7 @@ def test_criterion_3_oracle_equivalence(cluster):
                 assert buf == expected, f"read mismatch on trial {trial}"
 
         write_buf = bytearray(buflen)
-        plan.scatter(write_buf, 0, stream)
+        plan.scatter(write_buf, stream)
         want = overlay(base, file_regions, stream)
         finals = []
         for tag, runner in (
@@ -293,18 +294,18 @@ def test_criterion_6_trend_reproduction(cluster):
     sieving = {a: play.cell("sieving", a) for a in accesses}
 
     for a in accesses:
-        assert multiple[a].per_client_logical_requests == a  # linear, slope 1
-        assert lists[a].per_client_logical_requests == a // 64  # slope 1/64
-        assert lists[a].per_client_logical_requests <= \
-            multiple[a].per_client_logical_requests
+        assert per_client_logical_requests(multiple[a]) == a  # linear, slope 1
+        assert per_client_logical_requests(lists[a]) == a // 64  # slope 1/64
+        assert per_client_logical_requests(lists[a]) <= \
+            per_client_logical_requests(multiple[a])
     # slope ratio is exactly 64:1 across the whole sweep
     assert all(
-        multiple[a].per_client_logical_requests
-        == 64 * lists[a].per_client_logical_requests
+        per_client_logical_requests(multiple[a])
+        == 64 * per_client_logical_requests(lists[a])
         for a in accesses
     )
     # sieving reads move the same extent regardless of fragmentation
-    assert {sieving[a].per_client_logical_requests for a in accesses} == {2}
+    assert {per_client_logical_requests(sieving[a]) for a in accesses} == {2}
 
     orderings = []
     for a in accesses:
@@ -376,7 +377,7 @@ def test_criterion_7_serialization_safety(cluster):
             session = pvfs_open(cluster.manager_addr, file_name)
             try:
                 buf = bytearray(plans[i].total_length)
-                plans[i].scatter(buf, 0, streams[i])
+                plans[i].scatter(buf, streams[i])
                 access_sieving_write(session, plans[i], buf)
             finally:
                 session.close()

@@ -34,11 +34,9 @@ from listio_pfs.client import (
 from listio_pfs.errors import NotFoundError, PlanError, ProtocolError
 from listio_pfs.regions import (
     RegionList,
-    Repeat,
     Run,
     StripingParams,
     fan_out,
-    run_repeat,
     strided_runs,
 )
 from listio_pfs.bench import reassemble_file
@@ -188,10 +186,8 @@ class TestStrategyEquivalenceSmall:
         sp = StripingParams(0, rng.choice([1, 2, 8]), rng.choice([64, 16384]))
         with prepared_file(cluster, unique_name, image, sp) as session:
             expected = bytearray(buflen)
-            pos = 0
-            for off, ln in file_regions:
-                plan.scatter(expected, pos, image[off : off + ln])
-                pos += ln
+            plan.scatter(expected, b"".join(image[off : off + ln]
+                                            for off, ln in file_regions))
             for runner in (
                 lambda b: access_multiple(session, plan, b, "read"),
                 lambda b: access_sieving_read(session, plan, b),
@@ -217,7 +213,7 @@ class TestStrategyEquivalenceSmall:
         expected = overlay(base, file_regions, stream)
         sp = StripingParams(0, rng.choice([1, 2, 8]), rng.choice([64, 16384]))
         buf = bytearray(buflen)
-        plan.scatter(buf, 0, stream)
+        plan.scatter(buf, stream)
         for runner in (
             lambda s: access_multiple(s, plan, buf, "write"),
             lambda s: access_sieving_write(s, plan, buf),
@@ -277,7 +273,7 @@ class TestRequestCounts:
                 buf = bytearray(buflen)
                 m = access_list(session, plan, buf, "read")
                 counts.add(m.logical_requests)
-                buffers.append(bytes(plan.gather(buf, 0, total)))
+                buffers.append(bytes(plan.gather(buf)))
             assert counts == {3}  # ceil(130/64), whatever the memory shape
             assert len(set(buffers)) == 1
 
@@ -299,8 +295,8 @@ class TestRequestCounts:
 
 class TestFlashWrite:
     """A FLASH cell keeps its variables side by side, so list and sieving
-    writes gather it by fields. Random plans never repeat, so this is the
-    one live test of that path."""
+    writes gather it by fields, once per access. Random plans never repeat,
+    so this is the one live test of that path."""
 
     def test_every_strategy_writes_the_oracle_file(self, cluster, unique_name,
                                                    monkeypatch):
@@ -319,10 +315,9 @@ class TestFlashWrite:
                 want[at : at + n] = buf[off : off + n]
         base = rng.randbytes(size)
         files = {}
-        # A batch of 3 regions is 1.5 variables: a sub-range that is copied
-        # by runs. One of 5 is 2.5 variables and one of 19 is 9.5: their
-        # whole variables are gathered by fields, with half a variable by
-        # runs at one end.
+        # A batch of 3 regions is 1.5 variables, one of 5 is 2.5 and one of
+        # 19 is 9.5: each batch sends its slice of the one gather, whatever
+        # part of a variable it starts or ends in.
         for name, limit, write in (
                 ("multiple", 64,
                  lambda s, plan, buf: access_multiple(s, plan, buf, "write")),
@@ -343,6 +338,32 @@ class TestFlashWrite:
                                               session.handle, SP, size)
         for name, got in files.items():
             assert got == files["multiple"] == want, name
+
+    def test_a_list_write_of_the_default_cube_gathers_by_fields_once(
+            self, cluster, unique_name, monkeypatch):
+        # 30 batches of 64 regions; a variable is 80 regions, so no batch
+        # holds two whole variables, but the access gathers them all.
+        spec = FlashSpec(procs=2, proc_id=0)
+        plan = gen_flash(spec)
+        buf = random.Random(23).randbytes(spec.nblocks * spec.mem_block_bytes)
+        mem, file_offsets = flash_reference_layout(
+            spec.procs, spec.proc_id, spec.nblocks, spec.nb, spec.guard,
+            spec.nvars, spec.element_size)
+        want = bytearray(spec.file_bytes)
+        for (off, n), at in zip(mem, file_offsets):
+            want[at : at + n] = buf[off : off + n]
+        calls = []
+        real = client_module._gather_fields
+        monkeypatch.setattr(client_module, "_gather_fields",
+                            lambda *args: calls.append(1) or real(*args))
+        with prepared_file(cluster, unique_name, b"") as session:
+            for access in (1, 2):
+                m = access_list(session, plan, buf, "write")
+                assert m.logical_requests == 30
+                assert len(calls) == access
+            got = reassemble_file(cluster.storage_roots, session.handle, SP,
+                                  spec.file_bytes)
+        assert got == want
 
 
 class TestSieving:
@@ -425,20 +446,44 @@ class TestSieving:
         stream = rng.randbytes(plan.total_length)
         with prepared_file(cluster, unique_name, base) as session:
             buf = bytearray(plan.total_length)
-            plan.scatter(buf, 0, stream)
+            plan.scatter(buf, stream)
             access_sieving_write(session, plan, buf)
             final = reassemble_file(cluster.storage_roots, session.handle,
                                     session.striping, len(base))
             assert final == overlay(base, file_regions, stream)
 
+    def test_a_write_gathers_before_it_takes_the_token(self, cluster,
+                                                       unique_name,
+                                                       monkeypatch):
+        regions = [(i * 1024, 512) for i in range(8)]
+        plan = make_plan(regions, [(7 + i * 600, 512) for i in range(8)])
+        stream = random.Random(24).randbytes(plan.total_length)
+        buf = bytearray(8 * 600)
+        plan.scatter(buf, stream)
+        calls = []
+        for owner, name in ((AccessPlan, "gather"),
+                            (FileSession, "acquire_token"),
+                            (FileSession, "release_token")):
+            def recorded(self, *args, _real=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _real(self, *args)
+            monkeypatch.setattr(owner, name, recorded)
+        with prepared_file(cluster, unique_name, bytes(8 * 1024)) as session:
+            access_sieving_write(session, plan, buf)
+            assert calls == ["gather", "acquire_token", "release_token"]
+            final = reassemble_file(cluster.storage_roots, session.handle,
+                                    session.striping, 8 * 1024)
+        assert final == overlay(bytes(8 * 1024), regions, stream)
+
     @pytest.mark.parametrize("writing", [False, True])
     @pytest.mark.parametrize("mem,moves", [
         (None, 0),                                       # one memory region
-        ([(7 + i * 600, 512) for i in range(96)], 3),    # one region a piece
+        ([(7 + i * 600, 512) for i in range(96)], 1),    # one region a piece
     ], ids=["direct", "staged"])
     def test_one_plan_move_per_window(self, cluster, unique_name, monkeypatch,
                                       writing, mem, moves):
-        # 96 pieces of 512 B over three 32 KiB windows.
+        # 96 pieces of 512 B over three 32 KiB windows: the staged plan is
+        # gathered or scattered once for the access, not once per window.
         monkeypatch.setattr(client_module, "SIEVING_WINDOW", 32768)
         regions = [(i * 1024, 512) for i in range(96)]
         plan = make_plan(regions, mem)
@@ -448,7 +493,7 @@ class TestSieving:
         with prepared_file(cluster, unique_name, image) as session:
             buf = bytearray(max(off + n for off, n in plan.mem))
             if writing:
-                plan.scatter(buf, 0, stream)
+                plan.scatter(buf, stream)
             calls = []
             for name in ("scatter", "gather"):
                 def counted(self, *args, _move=getattr(AccessPlan, name)):
@@ -465,7 +510,7 @@ class TestSieving:
                 assert final == overlay(image, regions, stream)
             else:
                 wanted = b"".join(image[off : off + n] for off, n in regions)
-                assert plan.gather(buf, 0, plan.total_length) == wanted
+                assert plan.gather(buf) == wanted
 
 
 class _StubDaemon(socketserver.BaseRequestHandler):
@@ -879,16 +924,16 @@ class TestListMessages:
             messages = sum(len(fan_out(batch, sp, limit)) for batch in batches)
             image = rng.randbytes(end)
             buf = bytearray(buflen)
-            plan.scatter(buf, 0, rng.randbytes(plan.total_length))
+            plan.scatter(buf, rng.randbytes(plan.total_length))
             with prepared_file(cluster, unique_name, image, sp) as session:
                 wrote = access_list(session, plan, buf, "write")
-                stream = plan.gather(buf, 0, plan.total_length)
+                stream = plan.gather(buf)
                 final = bytearray(end)
                 pvfs_read(session, 0, final)
                 assert final == overlay(image, file_regions, stream)
                 got = bytearray(buflen)
                 read = access_list(session, plan, got, "read")
-                assert plan.gather(got, 0, plan.total_length) == stream
+                assert plan.gather(got) == stream
             for m in (wrote, read):
                 assert (m.logical_requests, m.server_messages) == (
                     len(batches), messages)
@@ -1116,30 +1161,12 @@ class _CountingView:
         self.view[index] = value
 
 
-def reference_scatter(mem, buf, pos, data):
+def reference_scatter(mem, buf, data):
     """Per-region scatter: later regions overwrite earlier ones."""
-    start = 0
+    pos = 0
     for off, n in mem:
-        lo, hi = max(pos, start), min(pos + len(data), start + n)
-        if lo < hi:
-            buf[off + lo - start : off + hi - start] = data[lo - pos : hi - pos]
-        start += n
-
-
-def reference_span(mem, pos, length):
-    """(start, stop) of the buffer slice holding plan bytes [pos,
-    pos+length) when one region holds them all, else None."""
-    start = 0
-    for off, n in mem:
-        if start <= pos < start + n:
-            at = off + pos - start
-            return (at, at + length) if pos + length <= start + n else None
-        start += n
-
-
-class _SliceRecorder:
-    def __getitem__(self, index):
-        return index.start, index.stop
+        buf[off : off + n] = data[pos : pos + n]
+        pos += n
 
 
 class TestScatterGather:
@@ -1159,11 +1186,8 @@ class TestScatterGather:
         plan = AccessPlan(RegionList(mem), RegionList([(0, total)]))
         payload = data.draw(st.binary(min_size=total, max_size=total))
         buf = bytearray(pos)
-        plan.scatter(buf, 0, payload)
-        assert plan.gather(buf, 0, total) == payload
-        # partial windows agree too
-        if total > 2:
-            assert plan.gather(buf, 1, total - 2) == payload[1 : total - 1]
+        plan.scatter(buf, payload)
+        assert plan.gather(buf) == payload
 
     @given(mem=memory_lists(), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -1182,17 +1206,12 @@ class TestScatterGather:
         buflen = max(off + n for off, n in mem)
         image = data.draw(st.binary(min_size=buflen, max_size=buflen))
         flat = b"".join(image[off : off + n] for off, n in mem)
-        for _ in range(3):
-            pos = data.draw(st.integers(0, total - 1))
-            length = data.draw(st.integers(1, total - pos))
-            assert plan.gather(image, pos, length) == flat[pos : pos + length]
-            assert (plan.mem_span(_SliceRecorder(), pos, length)
-                    == reference_span(mem, pos, length))
-            payload = data.draw(st.binary(min_size=length, max_size=length))
-            got, want = bytearray(image), bytearray(image)
-            plan.scatter(got, pos, payload)
-            reference_scatter(mem, want, pos, payload)
-            assert got == want
+        assert plan.gather(image) == flat
+        payload = data.draw(st.binary(min_size=total, max_size=total))
+        got, want = bytearray(image), bytearray(image)
+        plan.scatter(got, payload)
+        reference_scatter(mem, want, payload)
+        assert got == want
 
     @given(file=file_lists(), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -1216,15 +1235,18 @@ class TestScatterGather:
             if clips:
                 first, last = clips[0][0], clips[-1][0] + clips[-1][2]
                 expected.append((ws, we, first, last, clips))
-        assert windows == [window[:4] for window in expected]
-        for ws, we, first, last, clips in expected:
+        assert [window[:4] for window in windows] == [
+            window[:4] for window in expected]
+        # Each window's cut runs, counted from its first plan byte and from
+        # its start, move exactly its plan bytes.
+        for (ws, we, first, last, runs), (*_, clips) in zip(windows, expected):
             taken = bytearray(last - first)
-            _move(plan.file_runs, image[ws:we], first, taken, False, ws)
+            _move(runs, image[ws:we], taken, False)
             assert taken == b"".join(image[lo : lo + n] for _p, lo, n in clips)
             payload = data.draw(st.binary(min_size=last - first,
                                           max_size=last - first))
             got, want = bytearray(image[ws:we]), bytearray(image[ws:we])
-            _move(plan.file_runs, got, first, payload, True, ws)
+            _move(runs, got, payload, True)
             for p, lo, n in clips:
                 want[lo - ws : lo - ws + n] = payload[p - first : p - first + n]
             assert got == want
@@ -1240,42 +1262,45 @@ class TestScatterGather:
         buflen = max(off + n for off, n in mem) + data.draw(st.integers(0, 7))
         image = data.draw(st.binary(min_size=buflen, max_size=buflen))
         flat = b"".join(image[off : off + n] for off, n in mem)
+        payload = data.draw(st.binary(min_size=total, max_size=total))
+        assert plan.gather(image) == flat
+        got, want = bytearray(image), bytearray(image)
+        plan.scatter(got, payload)
+        reference_scatter(mem, want, payload)
+        assert got == want
+        # Runs [first, last] whole, their positions counted from the first
+        # one's and their offsets from `base`, as a sieving window's are.
         base = data.draw(st.integers(0, min(off for off, _n in mem)))
         first = data.draw(st.integers(0, len(runs) - 1))
         last = data.draw(st.integers(first, len(runs) - 1))
+        pos = runs[first].pos
         end = runs[last].pos + runs[last].size * runs[last].count
-        # The whole plan, then runs [first, last] whole.
-        for pos, stop in ((0, total), (runs[first].pos, end)):
-            assert plan.gather(image, pos, stop - pos) == flat[pos:stop]
-            payload = data.draw(st.binary(min_size=stop - pos,
-                                          max_size=stop - pos))
-            got, want = bytearray(image), bytearray(image)
-            plan.scatter(got, pos, payload)
-            reference_scatter(mem, want, pos, payload)
-            assert got == want
-            # The buffer seen from `base` on, as a sieving window is.
-            taken = bytearray(stop - pos)
-            _move(runs, image[base:], pos, taken, False, base)
-            assert taken == flat[pos:stop]
-            got = bytearray(image[base:])
-            _move(runs, got, pos, payload, True, base)
-            assert got == want[base:]
+        part = runs[first : last + 1]
+        cut = [(p - pos, offset - base, *shape) for p, offset, *shape in part]
+        taken = bytearray(end - pos)
+        _move(cut, image[base:], taken, False)
+        assert taken == flat[pos:end]
+        got, want = bytearray(image[base:]), bytearray(image)
+        _move(cut, got, payload[pos:end], True)
+        reference_scatter([(offset + k * stride, size)
+                           for _p, offset, size, stride, count in part
+                           for k in range(count)], want, payload[pos:end])
+        assert got == want[base:]
 
     def test_flash_plan_walks_as_runs_of_eight(self):
         plan = gen_flash(FlashSpec(procs=2, proc_id=0, nblocks=2))
         runs = strided_runs(plan.mem)
         assert (len(plan.mem), len(runs)) == (24576, 3072)
         assert {(run.size, run.stride, run.count) for run in runs} == {(8, 192, 8)}
-        # One variable's 128 rows, once per variable: 8 KiB further on in
-        # the plan and one element further on in memory.
-        assert run_repeat(runs) == Repeat(width=128, copies=24,
-                                          pos_shift=8192, offset_shift=8)
+        # One variable's 128 rows, once per variable, one element further
+        # on in memory: each row is 8 cells of 24 variables.
+        assert plan.mem_fields == ([(run.offset, 8 * 24 * 8) for run in runs[:128]],
+                                   24, 8)
         cyclic = gen_cyclic(CyclicSpec(clients=2, client_id=0,
                                        total_bytes=1 << 16, accesses=64))
-        assert run_repeat(cyclic.mem_runs) is None
         assert cyclic.mem_fields is None
         mem, _buflen = random_mem_regions(random.Random(3), 4096)
-        assert run_repeat(make_plan([(0, 4096)], mem).mem_runs) is None
+        assert make_plan([(0, 4096)], mem).mem_fields is None
 
     @given(case=periodic_lists(), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -1286,43 +1311,43 @@ class TestScatterGather:
         buflen = max(off + n for off, n in mem) + data.draw(st.integers(0, 7))
         image = data.draw(st.binary(min_size=buflen, max_size=buflen))
         flat = b"".join(image[off : off + n] for off, n in mem)
-        elements = total // size
-        first = data.draw(st.integers(0, elements - 1))
-        last = data.draw(st.integers(first + 1, elements))
-        pos = data.draw(st.integers(0, total - 1))
-        length = data.draw(st.integers(1, total - pos))
-        # The whole plan, whole elements, then a range cut anywhere.
-        base = data.draw(st.integers(0, min(off for off, _n in mem)))
-        for pos, length in ((0, total),
-                            (first * size, (last - first) * size),
-                            (pos, length)):
-            assert plan.gather(image, pos, length) == flat[pos : pos + length]
-            # The buffer seen from `base` on, as a sieving window is.
-            taken = bytearray(length)
-            _move(plan.mem_runs, image[base:], pos, taken, False, base,
-                  fields=plan.mem_fields)
-            assert taken == flat[pos : pos + length]
+        assert plan.gather(image) == flat
+        payload = data.draw(st.binary(min_size=total, max_size=total))
+        got, want = bytearray(image), bytearray(image)
+        plan.scatter(got, payload)
+        reference_scatter(mem, want, payload)
+        assert got == want
         if size == 3 or kind != "elements":
             assert plan.mem_fields is None
 
-    @given(case=periodic_lists(), data=st.data())
+    @given(case=record_lists(), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_a_repeat_rebuilds_the_runs(self, case, data):
-        mem, _size, _kind = case
+        mem, _size, kind, _nfields = case
         moved = data.draw(st.booleans())
         if moved:  # one region moved: the list may no longer repeat
             i = data.draw(st.integers(0, len(mem) - 1))
             mem[i] = (mem[i][0] + data.draw(st.integers(1, 5)), mem[i][1])
-        runs = strided_runs(mem)
-        repeat = run_repeat(runs)
-        assert moved or repeat is not None
-        if repeat is not None:
-            width, copies, pos_shift, offset_shift = repeat
-            assert copies >= 2 and width * copies == len(runs)
+        plan = make_plan([(0, sum(n for _off, n in mem))], mem)
+        runs = plan.mem_runs
+        fields = plan.mem_fields
+        assert moved or (fields is not None) == (kind == "fields")
+        if fields is not None:
+            # The fields are the whole run list: the template's records,
+            # and each copy one element further on in memory.
+            records, copies, size = fields
+            template = runs[:len(records)]
+            assert records == [(run.offset, run.count * copies * size)
+                               for run in template]
+            shift = plan.total_length // copies
             assert runs == [
-                Run(pos + m * pos_shift, offset + m * offset_shift, *shape)
+                Run(pos + m * shift, offset + m * size, *shape)
                 for m in range(copies)
-                for pos, offset, *shape in runs[:width]]
+                for pos, offset, *shape in template]
+            image = random.Random(len(mem)).randbytes(
+                max(off + n for off, n in mem))
+            assert plan.gather(image) == b"".join(image[off : off + n]
+                                                  for off, n in mem)
 
     @given(case=record_lists(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -1333,38 +1358,22 @@ class TestScatterGather:
         buflen = max(off + n for off, n in mem) + data.draw(st.integers(0, 7))
         image = data.draw(st.binary(min_size=buflen, max_size=buflen))
         flat = b"".join(image[off : off + n] for off, n in mem)
-        # The plan bytes of one copy: one field of every record.
-        copy = total // nfields
         fields = plan.mem_fields
         assert (fields is not None) == (kind == "fields")
-        assert fields is None or fields[1:] == (nfields, size, copy)
-        elements = total // size
-        first = data.draw(st.integers(0, elements - 1))
-        last = data.draw(st.integers(first + 1, elements))
-        pos = data.draw(st.integers(0, total - 1))
-        length = data.draw(st.integers(1, total - pos))
-        base = data.draw(st.integers(0, min(off for off, _n in mem)))
+        assert fields is None or fields[1:] == (nfields, size)
         calls = []
         real = client_module._gather_fields
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(client_module, "_gather_fields",
                        lambda *args: calls.append(1) or real(*args))
-            # The whole plan, whole elements, then a range cut anywhere.
-            for pos, length in ((0, total),
-                                (first * size, (last - first) * size),
-                                (pos, length)):
-                whole = (pos + length) // copy - -(-pos // copy)
-                del calls[:]
-                want = flat[pos : pos + length]
-                assert plan.gather(image, pos, length) == want
-                # The buffer seen from `base` on, as a sieving window is.
-                taken = bytearray(length)
-                _move(plan.mem_runs, image[base:], pos, taken, False, base,
-                      fields=fields)
-                assert taken == want
-                # Two whole copies or more go by fields: the whole plan does.
-                assert len(calls) == (2 if kind == "fields" and whole >= 2
-                                      else 0)
+            assert plan.gather(image) == flat
+        # Fields are gathered by fields, in one call; the rest by runs.
+        assert len(calls) == (1 if kind == "fields" else 0)
+        payload = data.draw(st.binary(min_size=total, max_size=total))
+        got, want = bytearray(image), bytearray(image)
+        plan.scatter(got, payload)
+        reference_scatter(mem, want, payload)
+        assert got == want
 
     @pytest.mark.parametrize("size", [1, 2, 4, 8])
     def test_columns_of_each_element_size(self, size, monkeypatch):
@@ -1383,9 +1392,9 @@ class TestScatterGather:
         real = client_module._gather_fields
         monkeypatch.setattr(client_module, "_gather_fields",
                             lambda *args: calls.append(1) or real(*args))
-        assert plan.gather(image, 0, len(flat)) == flat
+        assert plan.gather(image) == flat
         assert plan.mem_fields == ([(1, 4 * record), (100 * size, 4 * record)],
-                                   16, size, 8 * size)
+                                   16, size)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("size, shift", [(3, 3), (4, 6), (8, 0)])
@@ -1398,13 +1407,24 @@ class TestScatterGather:
         image = random.Random(size).randbytes(max(off for off, _n in mem)
                                               + size)
         flat = b"".join(image[off : off + n] for off, n in mem)
-        assert plan.gather(image, 0, len(flat)) == flat
-        assert run_repeat(plan.mem_runs) is not None
+        assert plan.gather(image) == flat
         assert plan.mem_fields is None
 
-    def _gather_copies(self, monkeypatch, plan, buffer, pos, length):
-        """The strided copies that gathering plan bytes [pos, pos+length)
-        makes by runs, and the staging arrays it makes by fields."""
+    def test_a_repeat_cut_short_gathers_by_runs(self):
+        # Three runs of 8 B elements, the third the first one element on:
+        # a repeat of two runs that stops after one. (Memory regions may
+        # overlap.)
+        mem = [(0, 8), (8, 8), (100, 8), (8, 8), (16, 8)]
+        plan = make_plan([(0, 40)], mem)
+        assert len(plan.mem_runs) == 3
+        image = random.Random(5).randbytes(108)
+        assert plan.gather(image) == b"".join(image[off : off + n]
+                                              for off, n in mem)
+        assert plan.mem_fields is None
+
+    def _gather_copies(self, monkeypatch, plan, buffer):
+        """The strided copies that gathering the plan makes by runs, and
+        the staging arrays it makes by fields."""
         copies, staged = [], []
         real = client_module._elements
         monkeypatch.setattr(
@@ -1413,15 +1433,14 @@ class TestScatterGather:
                                                    copies))
         monkeypatch.setattr(client_module, "array",
                             lambda typecode: _CountingArray(typecode, staged))
-        plan.gather(buffer, pos, length)
+        plan.gather(buffer)
         return copies, staged
 
     def test_flash_gather_copies_rows_then_fields(self, monkeypatch):
         spec = FlashSpec(procs=2, proc_id=0, nblocks=2)
         plan = gen_flash(spec)
         buffer = bytearray(spec.nblocks * spec.mem_block_bytes)
-        copies, (staging,) = self._gather_copies(monkeypatch, plan, buffer, 0,
-                                                 plan.total_length)
+        copies, (staging,) = self._gather_copies(monkeypatch, plan, buffer)
         # 128 rows of 8 cells of 24 variables, then one slice per variable
         # of its 1,024 elements: not 1,024 columns, nor 3,072 runs of 8.
         assert copies == []
@@ -1429,18 +1448,15 @@ class TestScatterGather:
         assert [len(range(*index.indices(len(staging))))
                 for index in staging.slices] == [1024] * 24
 
-    def test_default_cube_batch_keeps_the_run_path(self, monkeypatch):
+    def test_default_cube_gathers_by_fields(self, monkeypatch):
+        # A variable of the default cube is 80 blocks, more than a list
+        # batch of 64 regions holds. The plan is still gathered whole, by
+        # fields: 64 rows of 8 cells a block, then one slice a variable.
         spec = FlashSpec(procs=2, proc_id=0)
         plan = gen_flash(spec)
-        ((pos, length, _waves), *_rest), _largest = plan.list_requests(
-            SP, wire.MAX_LIST_REGIONS)
         buffer = bytearray(spec.nblocks * spec.mem_block_bytes)
-        copies, staged = self._gather_copies(monkeypatch, plan, buffer, pos,
-                                             length)
-        # A copy is one variable of 80 blocks, more than a batch of 64
-        # regions covers: one copy per row run of 8, and no staging.
-        assert plan.mem_fields[3] == (spec.nblocks * spec.interior_elements
-                                      * spec.element_size)
-        assert length < 2 * plan.mem_fields[3]
-        assert staged == []
-        assert len(copies) == length // 64
+        copies, (staging,) = self._gather_copies(monkeypatch, plan, buffer)
+        assert copies == []
+        assert staging.rows == [8 * 24 * 8] * (spec.nblocks * 64)
+        assert [len(range(*index.indices(len(staging))))
+                for index in staging.slices] == [spec.nblocks * 512] * 24

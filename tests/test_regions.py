@@ -18,7 +18,6 @@ from listio_pfs.regions import (
     split_by_server,
     stripe_chunks,
     stripe_location,
-    useful_fraction,
 )
 from listio_pfs.workloads import FlashSpec, flash_file_regions
 
@@ -28,6 +27,7 @@ from oracles import (
     region_byte_set,
     region_bytes,
     split_by_server_reference,
+    useful_fraction,
 )
 
 SP8 = StripingParams(0, 8, 16384)
