@@ -105,10 +105,6 @@ class ClientMetrics:
 # Element sizes that a strided run moves with one memoryview copy, and the
 # format of their element views and staging arrays.
 _ELEMENT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-# Smallest average piece a read reply is received into in place. Smaller
-# pieces cost more to slice and hand to the kernel one by one than the
-# reply costs to copy out with _move.
-_PIECE_MIN = 512
 _run_pos = itemgetter(0)
 _run_offset = itemgetter(1)
 
@@ -539,22 +535,18 @@ def _waves(messages) -> list:
     return waves
 
 
-def _pieces(runs, view, total: int):
-    """Where a read message's bytes land in `view`: one slice of it, or a
-    list of slices, one per back-to-back stretch, in message order. None
-    when the stretches average under _PIECE_MIN bytes."""
+def _pieces(runs, view):
+    """Where a read message's bytes land in `view`, for its reply to be
+    received straight into: one slice of it, or a list of slices, one per
+    back-to-back stretch, in message order."""
     pieces = []
     for _pos, at, size, stride, count in runs:
         if stride == size:
             pieces.append(view[at : at + size * count])
-        elif size < _PIECE_MIN:
-            return None
         else:
             pieces += [view[a : a + size]
                        for a in range(at, at + count * stride, stride)]
-    if len(pieces) == 1:
-        return pieces[0]
-    return pieces if len(pieces) * _PIECE_MIN <= total else None
+    return pieces[0] if len(pieces) == 1 else pieces
 
 
 def _contiguous(session: FileSession, opcode: int, offset: int, view) -> None:
@@ -606,13 +598,12 @@ def _exchange(session: FileSession, opcode: int, waves, view) -> None:
     the one-stripe path of _contiguous are the only code that sends data
     requests to daemons and that counts them.
 
-    A read whose bytes lie in few enough pieces of the view is received
-    straight into them; any other read is received whole and moved in. A
-    write of one back-to-back run is sent from the view; any other
-    write's payload is copied out run by run just before it is sent. A
-    failure leaves each channel that did not return its whole reply owing
-    it, and FileSession._channel replaces such a channel before its next
-    use.
+    A read's reply is received straight into the slices of the view it
+    fills (_pieces). A write of one back-to-back run is sent from the
+    view; any other write's payload is copied out run by run just before
+    it is sent. A failure leaves each channel that did not return its
+    whole reply owing it, and FileSession._channel replaces such a channel
+    before its next use.
     """
     reading = opcode in wire.READ_OPCODES
     listed = opcode in wire.LIST_OPCODES
@@ -626,7 +617,7 @@ def _exchange(session: FileSession, opcode: int, waves, view) -> None:
             channel = session._channel(slot)
             out = payload = None
             if reading:
-                out = _pieces(runs, view, total)
+                out = _pieces(runs, view)
             elif len(runs) == 1 and runs[0][2] == runs[0][3]:  # size == stride
                 payload = view[runs[0][1] : runs[0][1] + total]
             else:
@@ -634,19 +625,16 @@ def _exchange(session: FileSession, opcode: int, waves, view) -> None:
                 _move(runs, view, payload, False)
             rid = channel.send(opcode, session.handle, offset, total,
                                trailing, payload)
-            sent.append((channel, rid, out, total, runs))
-        for channel, rid, out, total, runs in sent:
-            reply = channel.receive(rid, out)
-            _counted(m, opcode, reply, total)
-            if reading and out is None:
-                _move(runs, view, memoryview(reply), True)
+            sent.append((channel, rid, out, total))
+        for channel, rid, out, total in sent:
+            _counted(m, opcode, channel.receive(rid, out), total)
 
 
-def _counted(m: ClientMetrics, opcode: int, reply, total: int) -> None:
-    """Count one daemon message of `total` data bytes, once a read's reply
-    (the length received in place, or the bytes) is checked to hold them."""
+def _counted(m: ClientMetrics, opcode: int, got, total: int) -> None:
+    """Count one daemon message of `total` data bytes. `got` is what the
+    channel's receive returned: for a read, the byte count its reply put
+    in place, which must be `total`; a write's reply is not looked at."""
     if opcode in wire.READ_OPCODES:
-        got = reply if type(reply) is int else len(reply)
         if got != total:
             raise ProtocolError(f"{wire.OPCODE_NAMES[opcode]} "
                                 f"returned {got} of {total} bytes")

@@ -49,14 +49,6 @@ class StripingParams(NamedTuple):
         return self
 
 
-class TransferPiece(NamedTuple):
-    """A span contiguous in both the memory list and the file list."""
-
-    mem_offset: int
-    file_offset: int
-    length: int
-
-
 def _checked_total(offsets: Sequence[int], lengths: Sequence[int]) -> int:
     """Byte total of the regions (offsets[i], lengths[i]); PlanError naming
     the first one that is empty or leaves the 64-bit byte space. Whole
@@ -318,8 +310,9 @@ def server_spans(offset: int, length: int, sp: StripingParams) -> dict[int, Regi
 
 def iter_transfer_pieces(
     mem: Iterable[Region], file: Iterable[Region]
-) -> Iterator[TransferPiece]:
-    """Walk two region lists in lockstep, emitting their overlap pieces.
+) -> Iterator[tuple[int, int, int]]:
+    """Walk two region lists in lockstep, emitting their overlap pieces as
+    (mem_offset, file_offset, length): spans contiguous in both lists.
 
     A piece ends wherever either list moves to its next entry; adjacent
     entries are never merged, so piece count reflects list granularity.
@@ -332,7 +325,7 @@ def iter_transfer_pieces(
     m_used = f_used = 0
     while m is not None and f is not None:
         take = min(m.length - m_used, f.length - f_used)
-        yield TransferPiece(m.offset + m_used, f.offset + f_used, take)
+        yield m.offset + m_used, f.offset + f_used, take
         m_used += take
         f_used += take
         if m_used == m.length:

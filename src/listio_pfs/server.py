@@ -146,7 +146,7 @@ class _Token:
 
     def __init__(self):
         self.holder = None
-        self.waiters: deque[tuple[object, threading.Event]] = deque()
+        self.waiters: deque = deque()  # owners, in arrival order
 
 
 class Manager(_Endpoint):
@@ -154,7 +154,8 @@ class Manager(_Endpoint):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port)
-        self._lock = threading.Lock()
+        # Guards every table below; token waiters wait on it.
+        self._lock = threading.Condition()
         self._by_name: dict[str, FileMetadata] = {}
         self._by_handle: dict[int, FileMetadata] = {}
         self._roster: list[str] = []
@@ -213,7 +214,8 @@ class Manager(_Endpoint):
     # -- write token -----------------------------------------------------
 
     def token_acquire(self, handle: int, owner) -> None:
-        """Block until this owner holds the file's exclusive token (FIFO)."""
+        """Block until this owner holds the file's exclusive token; waiters
+        queue in arrival order on the manager's lock until _grant_next."""
         with self._lock:
             if handle not in self._by_handle:
                 raise NotFoundError(f"unknown handle {handle}")
@@ -223,9 +225,8 @@ class Manager(_Endpoint):
             if token.holder is None:
                 token.holder = owner
                 return
-            event = threading.Event()
-            token.waiters.append((owner, event))
-        event.wait()
+            token.waiters.append(owner)
+            self._lock.wait_for(lambda: token.holder is owner)
 
     def token_release(self, handle: int, owner) -> None:
         with self._lock:
@@ -236,22 +237,15 @@ class Manager(_Endpoint):
 
     def _grant_next(self, token: _Token) -> None:
         # caller holds self._lock
-        if token.waiters:
-            next_owner, event = token.waiters.popleft()
-            token.holder = next_owner
-            event.set()
-        else:
-            token.holder = None
+        token.holder = token.waiters.popleft() if token.waiters else None
+        self._lock.notify_all()
 
     def _release_all(self, owner) -> None:
+        # A closing connection has left dispatch, so it waits on no token.
         with self._lock:
             for token in self._tokens.values():
                 if token.holder is owner:
                     self._grant_next(token)
-                else:
-                    token.waiters = deque(
-                        (own, ev) for own, ev in token.waiters if own is not owner
-                    )
 
     # -- wire dispatch -----------------------------------------------------
 
@@ -292,41 +286,39 @@ _ZEROS = memoryview(bytes(1 << 16))  # source of the zeros past a file's end
 
 class StripeStore:
     """One sparse backing file per handle under a storage root, opened on
-    attach together with the lock that makes one request on it atomic."""
+    attach. It has no lock: IoDaemon calls it under its own."""
 
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._files: dict[int, tuple[int, threading.Lock]] = {}
-        self._lock = threading.Lock()
+        self._files: dict[int, int] = {}
 
     def path(self, handle: int) -> str:
         return os.path.join(self.root, f"{handle}.stripe")
 
     def attach(self, handle: int) -> None:
-        with self._lock:
-            if handle not in self._files:
-                fd = os.open(self.path(handle), os.O_RDWR | os.O_CREAT, 0o644)
-                self._files[handle] = (fd, threading.Lock())
+        if handle not in self._files:
+            self._files[handle] = os.open(self.path(handle),
+                                          os.O_RDWR | os.O_CREAT, 0o644)
 
-    def file(self, handle: int) -> tuple[int, threading.Lock]:
-        """The descriptor and request lock of an attached handle."""
-        entry = self._files.get(handle)
-        if entry is None:
+    def file(self, handle: int) -> int:
+        """The descriptor of an attached handle."""
+        fd = self._files.get(handle)
+        if fd is None:
             raise NotFoundError(f"handle {handle} not attached to this daemon")
-        return entry
+        return fd
 
     def pread(self, handle: int, offset: int, out) -> None:
         """Fill the writable view `out` from `offset`; holes read as zeros,
         and so does a tail past the end of the file."""
-        got = os.preadv(self.file(handle)[0], (out,), offset)
+        got = os.preadv(self.file(handle), (out,), offset)
         while got < len(out):
             n = min(len(out) - got, len(_ZEROS))
             out[got : got + n] = _ZEROS[:n]
             got += n
 
     def pwrite(self, handle: int, offset: int, data) -> None:
-        fd = self.file(handle)[0]
+        fd = self.file(handle)
         view = memoryview(data)
         pos = offset
         while view:
@@ -335,17 +327,18 @@ class StripeStore:
             view = view[written:]
 
     def size(self, handle: int) -> int:
-        return os.fstat(self.file(handle)[0]).st_size
+        return os.fstat(self.file(handle)).st_size
 
     def close(self) -> None:
-        with self._lock:
-            for fd, _lock in self._files.values():
-                os.close(fd)
-            self._files.clear()
+        for fd in self._files.values():
+            os.close(fd)
+        self._files.clear()
 
 
 class IoDaemon(_Endpoint):
-    """Stripe server: region-list reads and writes on local stripe files."""
+    """Stripe server: region-list reads and writes on local stripe files.
+    A thread serves each connection, and each storage request runs whole
+    under the daemon's one lock, so no two overlap, on any handle."""
 
     def __init__(
         self,
@@ -356,6 +349,7 @@ class IoDaemon(_Endpoint):
     ):
         super().__init__(host, port)
         self.store = StripeStore(storage_root)
+        self._lock = threading.Lock()
         self.manager_addr = manager_addr
         self.slot: int | None = None
 
@@ -370,7 +364,8 @@ class IoDaemon(_Endpoint):
 
     def stop(self) -> None:
         super().stop()
-        self.store.close()
+        with self._lock:
+            self.store.close()
 
     def _register(self) -> int:
         addr = self.address.encode("utf-8")
@@ -386,20 +381,22 @@ class IoDaemon(_Endpoint):
                 wire.raise_for_status(status, detail.encode("utf-8") + payload)
             return wire.unpack_u32(payload)
 
-    # -- storage operations (single-request atomicity per handle) ---------
+    # -- storage operations (one request at a time) ----------------------
+    # An unattached handle raises NotFoundError in the first region's pread
+    # or pwrite, before any byte moves (every request has a region).
 
     def attach(self, handle: int) -> None:
         if handle <= 0:
             raise ProtocolError(f"bad handle {handle}")
-        self.store.attach(handle)
+        with self._lock:
+            self.store.attach(handle)
 
     def read(self, handle: int, regions, out) -> None:
         """Fill the view `out` with the bytes of the server-local (offset,
         length) regions, in order; `out` is as long as they are together."""
         store = self.store
-        _fd, lock = store.file(handle)
         pos = 0
-        with lock:
+        with self._lock:
             for offset, length in regions:
                 store.pread(handle, offset, out[pos : pos + length])
                 pos += length
@@ -414,16 +411,15 @@ class IoDaemon(_Endpoint):
                 f"payload is {len(data)} bytes but regions total {total}"
             )
         store = self.store
-        _fd, lock = store.file(handle)
         view = memoryview(data)
         pos = 0
-        with lock:
+        with self._lock:
             for offset, length in regions:
                 store.pwrite(handle, offset, view[pos : pos + length])
                 pos += length
 
     def local_size(self, handle: int) -> int:
-        with self.store.file(handle)[1]:
+        with self._lock:
             return self.store.size(handle)
 
     # -- wire dispatch -----------------------------------------------------

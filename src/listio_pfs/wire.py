@@ -202,12 +202,6 @@ def decode_request(
     return header, trailing
 
 
-def decode_response_prefix(data) -> tuple[int, int, int]:
-    if len(data) < RESPONSE_PREFIX_SIZE:
-        raise ProtocolError(f"short response prefix: {len(data)} bytes")
-    return _RESPONSE.unpack_from(data)
-
-
 def encode_create_payload(name: str, sp: StripingParams) -> bytes:
     return _CREATE_FIXED.pack(sp.base, sp.pcount, sp.ssize) + name.encode("utf-8")
 
@@ -404,8 +398,8 @@ def recv_response(
 ) -> tuple[int, int, bytes | int]:
     """Receive one response; an ok payload lands in `out` when given (returns
     length). `out` is one view, or a list of views filled in turn."""
-    prefix = read_exact(sock, RESPONSE_PREFIX_SIZE)
-    request_id, status, payload_length = decode_response_prefix(prefix)
+    request_id, status, payload_length = _RESPONSE.unpack(
+        read_exact(sock, RESPONSE_PREFIX_SIZE))
     if out is not None and status == STATUS_OK:
         listed = isinstance(out, list)
         room = sum(map(len, out)) if listed else len(out)

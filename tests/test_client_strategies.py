@@ -106,14 +106,14 @@ class TestContiguous:
             assert session.metrics.server_messages == 2
             assert session.metrics.logical_requests == 1
 
-    @pytest.mark.parametrize("length, moved", [(16 * 16384, False),
+    @pytest.mark.parametrize("length, small", [(16 * 16384, False),
                                                (16 * 256 + 8, True)])
     def test_large_pieces_are_received_in_place(self, cluster, unique_name,
-                                                monkeypatch, length, moved):
+                                                monkeypatch, length, small):
         # 16 stripes over 8 daemons: each reply fills two pieces of the
-        # buffer. Pieces of 16 KiB are received straight into it; pieces
-        # of 256 B are received whole and moved into it.
-        sp = StripingParams(0, 8, 16384 if length > 8192 else 256)
+        # buffer. Pieces of 16 KiB, and small ones of 256 B too, are
+        # received straight into it, never moved in after.
+        sp = StripingParams(0, 8, 256 if small else 16384)
         data = random.Random(1).randbytes(length)
         with prepared_file(cluster, unique_name, data, sp) as session:
             moves = []
@@ -123,7 +123,7 @@ class TestContiguous:
             out = bytearray(length)
             assert pvfs_read(session, 0, out) == length
             assert out == data
-            assert bool(moves) == moved
+            assert not moves
 
     def test_zero_length_is_a_noop(self, cluster, unique_name):
         with prepared_file(cluster, unique_name, b"") as session:

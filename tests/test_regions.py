@@ -7,7 +7,6 @@ from listio_pfs.regions import (
     Region,
     RegionList,
     StripingParams,
-    TransferPiece,
     batch_regions,
     count_transfer_pieces,
     extent,
@@ -261,20 +260,20 @@ class TestTransferPieces:
         pieces = list(iter_transfer_pieces(
             RegionList([(0, 100)]), RegionList([(50, 100)])
         ))
-        assert pieces == [TransferPiece(0, 50, 100)]
+        assert pieces == [(0, 50, 100)]
 
     def test_memory_split_forces_two_pieces(self):
         pieces = list(iter_transfer_pieces(
             RegionList([(0, 8), (100, 8)]), RegionList([(0, 16)])
         ))
-        assert pieces == [TransferPiece(0, 0, 8), TransferPiece(100, 8, 8)]
+        assert pieces == [(0, 0, 8), (100, 8, 8)]
 
     def test_adjacent_entries_stay_separate(self):
         # boundaries of either list end a piece even with no byte gap
         pieces = list(iter_transfer_pieces(
             RegionList([(0, 16)]), RegionList([(0, 8), (8, 8)])
         ))
-        assert pieces == [TransferPiece(0, 0, 8), TransferPiece(8, 8, 8)]
+        assert pieces == [(0, 0, 8), (8, 8, 8)]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(PlanError):
@@ -317,12 +316,12 @@ class TestTransferPieces:
             fpos += ln
             remaining -= ln
         pieces = list(iter_transfer_pieces(RegionList(mem), RegionList(file_regions)))
-        assert sum(p.length for p in pieces) == total
+        assert sum(length for _m, _f, length in pieces) == total
         flat = bytes(data.randint(0, 255) for _ in range(fpos + 1))
         buf = bytearray(total)
-        for p in pieces:
-            buf[p.mem_offset : p.mem_offset + p.length] = flat[
-                p.file_offset : p.file_offset + p.length
+        for mem_offset, file_offset, length in pieces:
+            buf[mem_offset : mem_offset + length] = flat[
+                file_offset : file_offset + length
             ]
         expected = b"".join(flat[r.offset : r.end] for r in file_regions)
         assert bytes(buf) == expected

@@ -14,7 +14,7 @@ from listio_pfs.errors import (
     TokenError,
 )
 from listio_pfs.regions import RegionList, StripingParams
-from listio_pfs.server import IoDaemon, Manager, parse_addr
+from listio_pfs.server import IoDaemon, Manager, StripeStore, parse_addr
 
 
 def _read(daemon, handle, regions) -> bytes:
@@ -150,6 +150,42 @@ class TestTokens:
         for t in threads:
             t.join(timeout=5)
         assert grants == [f"owner-{i}" for i in range(6)]
+
+    def test_each_file_grants_its_own_waiters_in_order(self, manager,
+                                                       unique_name):
+        # Waiters on two files share the manager's lock: a release on one
+        # file grants its next waiter and no waiter of the other file.
+        a, b = (manager.create(unique_name(), StripingParams(0, 2, 64)).handle
+                for _ in range(2))
+        holders = {a: object(), b: object()}
+        for handle, holder in holders.items():
+            manager.token_acquire(handle, holder)
+        grants = {a: [], b: []}
+
+        def waiter(handle, owner):
+            manager.token_acquire(handle, owner)
+            grants[handle].append(owner)
+            manager.token_release(handle, owner)
+
+        threads = {a: [], b: []}
+        for i in range(3):
+            for handle in (a, b):
+                t = threading.Thread(target=waiter, args=(handle, f"{handle}-{i}"),
+                                     daemon=True)
+                t.start()
+                threads[handle].append(t)
+                time.sleep(0.02)  # stagger arrival
+        manager.token_release(a, holders[a])
+        for t in threads[a]:
+            t.join(timeout=5)
+        assert grants[a] == [f"{a}-{i}" for i in range(3)]
+        time.sleep(0.05)
+        assert grants[b] == []
+        assert all(t.is_alive() for t in threads[b])
+        manager.token_release(b, holders[b])
+        for t in threads[b]:
+            t.join(timeout=5)
+        assert grants[b] == [f"{b}-{i}" for i in range(3)]
 
     def test_a_repeat_acquire_by_the_holder_is_refused(self, manager,
                                                        unique_name):
@@ -300,6 +336,58 @@ class TestDaemonStorage:
                     bytes(shadow[roff : roff + rlen]) for roff, rlen in regions
                 )
                 assert _read(daemon, 11, RegionList(regions)) == expected
+
+
+class TestOneRequestAtATime:
+    def test_writes_to_two_files_never_overlap_on_a_daemon(self, tmp_path,
+                                                           monkeypatch):
+        # Each pwrite records its entry and exit and sleeps 20 ms while two
+        # clients write two files through one daemon. The daemon serves one
+        # data request at a time, so no two pwrite calls overlap, even on
+        # different handles.
+        spans = []
+        real = StripeStore.pwrite
+
+        def slow_pwrite(store, handle, offset, data):
+            entry = time.perf_counter()
+            time.sleep(0.02)
+            real(store, handle, offset, data)
+            spans.append((entry, time.perf_counter()))
+
+        monkeypatch.setattr(StripeStore, "pwrite", slow_pwrite)
+        manager = Manager()
+        manager.start()
+        daemon = IoDaemon(str(tmp_path / "iod"), manager_addr=manager.address)
+        daemon.start()
+        barrier = threading.Barrier(2, timeout=5)
+        errors = []
+
+        def writer(i):
+            try:
+                with pvfs_create(manager.address, f"overlap-{i}",
+                                 StripingParams(0, 1, 4096)) as session:
+                    barrier.wait()
+                    for k in range(4):
+                        pvfs_write(session, k * 8, bytes([i + 1]) * 8)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,), daemon=True)
+                   for i in range(2)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            daemon.stop()
+            manager.stop()
+        assert errors == []
+        assert len(spans) == 8
+        spans.sort()
+        for (_entry, exit_), (next_entry, _exit) in zip(spans, spans[1:]):
+            assert exit_ <= next_entry
 
 
 class TestDaemonWire:
