@@ -13,7 +13,9 @@ strategies differ only in the logical requests they hand it:
 * data sieving    - one contiguous READ per window of the plan's file
                     extent, scattered from the session's scratch buffer;
                     writes overlay the window and WRITE it back
-                    (read-modify-write under the manager's per-file token);
+                    (read-modify-write under the manager's per-file token).
+                    A plan cuts its windows once per window size and
+                    keeps them;
 * list I/O        - one READ_LIST/WRITE_LIST per batch of up to 64 file
                     regions, carried as trailing data. A plan fans its
                     batches out once per striping and keeps the messages.
@@ -40,11 +42,9 @@ import mmap
 import socket
 import time
 from array import array
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from . import wire
 from .errors import (
@@ -52,10 +52,7 @@ from .errors import (
     PlanError,
     ProtocolError,
 )
-# server_spans and stripe_chunks are not called here. They stay importable from
-# here because the benchmark's layer trace (perfbench/layers.py) times the
-# regions functions this module imports, and its tests expect these names.
-from .regions import (  # noqa: F401
+from .regions import (
     RegionList,
     Run,
     StripingParams,
@@ -64,10 +61,13 @@ from .regions import (  # noqa: F401
     fan_out,
     inverse_stripe_location,
     iter_transfer_pieces,
-    server_spans,
-    stripe_chunks,
+    split_by_server,
     strided_runs,
 )
+# server_spans and stripe_chunks are not called here. They stay importable from
+# here because the benchmark's layer trace (perfbench/layers.py) times the
+# regions functions this module imports, and its tests expect these names.
+from .regions import server_spans, stripe_chunks  # noqa: F401
 from .server import parse_addr
 
 # The file extent one sieving request reads, and writes back, at most.
@@ -105,32 +105,6 @@ class ClientMetrics:
 # Element sizes that a strided run moves with one memoryview copy, and the
 # format of their element views and staging arrays.
 _ELEMENT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_run_pos = itemgetter(0)
-_run_offset = itemgetter(1)
-
-
-def _trim(run, lo: int, hi: int) -> list:
-    """The bytes at positions [lo, hi) of `run`, counted from its start, as
-    runs: its whole regions there as one run, and a part of a region as a
-    run of that one part."""
-    start, offset, size, stride, count = run
-    if stride == size:
-        return [(start + lo, offset + lo, hi - lo, hi - lo, 1)]
-    first, head = divmod(lo, size)
-    last, tail = divmod(hi, size)
-    if first == last:
-        return [(start + lo, offset + first * stride + head, hi - lo, hi - lo, 1)]
-    parts = []
-    if head:
-        parts.append((start + lo, offset + first * stride + head,
-                      size - head, size - head, 1))
-        first += 1
-    if first < last:
-        parts.append((start + first * size, offset + first * stride, size,
-                      stride, last - first))
-    if tail:
-        parts.append((start + hi - tail, offset + last * stride, tail, tail, 1))
-    return parts
 
 
 def _elements(view: memoryview, size: int, skip: int) -> memoryview:
@@ -213,7 +187,8 @@ class AccessPlan:
     Both lists are walked as strided runs (regions.strided_runs), each
     built on first use: the memory runs move the plan's bytes to and from
     the buffer, whole, once per access (gather and scatter), and the file
-    runs, cut per window, move them to and from sieving windows. A gather
+    regions, cut at window edges and grouped once per window size
+    (windows), move them to and from sieving windows. A gather
     copies by fields when the memory regions are the fields of records
     (mem_fields, found on the first gather); a scatter always goes by runs.
     The list messages are fanned out once per striping and batch limit
@@ -235,14 +210,11 @@ class AccessPlan:
         self.file = file
         self.total_length = file.total_length
         self._list_requests: dict = {}
+        self._windows: dict = {}
 
     @cached_property
     def mem_runs(self) -> list[Run]:
         return strided_runs(self.mem)
-
-    @cached_property
-    def file_runs(self) -> list[Run]:
-        return strided_runs(self.file)
 
     @cached_property
     def mem_fields(self):
@@ -303,7 +275,7 @@ class AccessPlan:
         if made is None:
             requests, pos, largest = [], 0, 0
             for batch in batch_regions(self.file, limit):
-                messages = fan_out(batch, sp, limit)
+                messages = split_by_server(batch, sp, limit)
                 largest = max(largest, max(message.regions.total_length
                                            for message in messages))
                 requests.append((pos, batch.total_length, _waves(messages)))
@@ -311,36 +283,44 @@ class AccessPlan:
             made = self._list_requests[sp, limit] = requests, largest
         return made
 
-    def windows(self, size: int):
-        """Yield (ws, we, first, last, runs) for each window [ws, we) that
-        tiles the file extent from its start in `size` steps and holds plan
+    def windows(self, size: int) -> list:
+        """(ws, we, first, last, runs) for each window [ws, we) that tiles
+        the file extent from its start in `size` steps and holds plan
         bytes: [first, last) are the plan bytes whose file offsets lie in
-        it, and `runs` the file runs that hold them, cut to the whole
-        regions and parts of one region in the window, with positions
-        counted from `first` and offsets from `ws`. Windows that hold none
-        are skipped; the plan is not empty."""
-        runs = self.file_runs
-        ext = extent(self.file)
-        last = 0
-        for ws in range(ext.offset, ext.end, size):
+        it, and `runs` the strided runs of the file regions cut at its
+        edges, with positions counted from `first` and offsets from `ws`.
+        Windows that hold none are left out, so an empty plan has none.
+        Made on first use for each size, then reused; threads that race to
+        make it store equal lists."""
+        made = self._windows.get(size)
+        if made is None:
+            made = self._windows[size] = _cut_windows(self.file, size)
+        return made
+
+
+def _cut_windows(file: RegionList, size: int) -> list:
+    """AccessPlan.windows, made with one walk of the file regions: each
+    region is cut where it crosses a window edge, and each window's pieces
+    are grouped into runs once."""
+    if not len(file):
+        return []
+    ext = extent(file)
+    windows, pieces, first, pos = [], [], 0, 0
+    ws, we = ext.offset, min(ext.offset + size, ext.end)
+    for offset, length in file:
+        while offset + length > we:
+            if offset < we:
+                take = we - offset
+                pieces.append((offset - ws, take))
+                offset, length, pos = we, length - take, pos + take
+            windows.append((ws, we, first, pos, strided_runs(pieces)))
+            pieces, first = [], pos
+            ws = offset - (offset - ext.offset) % size  # the one holding offset
             we = min(ws + size, ext.end)
-            # The plan position of the first plan byte at or after `we`.
-            pos, offset, n, stride, count = runs[
-                bisect_right(runs, we, key=_run_offset) - 1]
-            element, intra = divmod(we - offset, stride)
-            first, last = last, pos + min(element * n + min(intra, n), n * count)
-            if first == last:
-                continue
-            cut = runs[bisect_right(runs, first, key=_run_pos) - 1
-                       : bisect_right(runs, last - 1, key=_run_pos)]
-            pos, _offset, n, _stride, count = cut[-1]
-            if last < pos + n * count:
-                cut[-1:] = _trim(cut[-1], max(first - pos, 0), last - pos)
-            pos, _offset, n, _stride, count = cut[0]
-            if first > pos:
-                cut[:1] = _trim(cut[0], first - pos, n * count)
-            yield ws, we, first, last, [(p - first, at - ws, *shape)
-                                        for p, at, *shape in cut]
+        pieces.append((offset - ws, length))
+        pos += length
+    windows.append((ws, we, first, pos, strided_runs(pieces)))
+    return windows
 
 
 @contextmanager
@@ -564,7 +544,7 @@ def _contiguous(session: FileSession, opcode: int, offset: int, view) -> None:
     sp = session.striping
     k, within = divmod(offset, sp.ssize)
     if within + length > sp.ssize:
-        messages = fan_out(((offset, length),), sp)
+        messages = fan_out(offset, length, sp)
         if length > wire.MAX_PAYLOAD:  # else no message can be over the cap
             _check_cap(max(message.regions.total_length
                            for message in messages))
@@ -709,13 +689,11 @@ def _sieve(session: FileSession, plan: AccessPlan, staged: memoryview,
     """Read each extent window that holds plan bytes whole, then move its
     plan bytes out of it into `staged`, the plan's bytes in plan order, or
     into it from `staged` and write it back whole. A window's plan bytes
-    move with one walk of its cut file runs (AccessPlan.windows)."""
-    if not len(plan.file):
-        return
-    scratch = session._scratch_view(min(SIEVING_WINDOW,
-                                        extent(plan.file).length))
+    move with one walk of its runs, which the plan cut once
+    (AccessPlan.windows). Each window is read into the session's scratch;
+    the first window is the largest, so the scratch grows at most once."""
     for ws, we, first, last, runs in plan.windows(SIEVING_WINDOW):
-        window = scratch[: we - ws]
+        window = session._scratch_view(we - ws)
         _contiguous(session, wire.READ, ws, window)
         _move(runs, window, staged[first:last], writing)
         if writing:

@@ -250,20 +250,10 @@ def split_by_server(
     return messages
 
 
-def fan_out(
-    file_regions: Sequence[tuple[int, int]], sp: StripingParams,
-    limit: int | None = None,
-) -> list[Message]:
-    """The daemon messages of one non-empty logical request, whose bytes
-    are taken from its sorted file regions in file order.
-
-    With no limit the request is a contiguous operation on its one region:
-    one message per server touched, each a single local span. With a
-    limit it is a list operation, split as by split_by_server.
-    """
-    if limit is not None:
-        return split_by_server(file_regions, sp, limit)
-    ((offset, length),) = file_regions
+def fan_out(offset: int, length: int, sp: StripingParams) -> list[Message]:
+    """The daemon messages of a non-empty contiguous request for the file
+    range [offset, offset + length): one message per server touched, each
+    a single local span, whose runs take its bytes from the request's."""
     ssize, pcount = sp.ssize, sp.pcount
     if pcount == 1:  # one server, whose local file is the whole file
         return [Message(0, RegionList._wrap((Region(offset, length),), length),
@@ -305,7 +295,7 @@ def fan_out(
 
 def server_spans(offset: int, length: int, sp: StripingParams) -> dict[int, Region]:
     """Per-server local span covering a non-empty contiguous file range."""
-    return {m.slot: m.regions[0] for m in fan_out(((offset, length),), sp)}
+    return {m.slot: m.regions[0] for m in fan_out(offset, length, sp)}
 
 
 def iter_transfer_pieces(

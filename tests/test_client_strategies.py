@@ -37,6 +37,7 @@ from listio_pfs.regions import (
     Run,
     StripingParams,
     fan_out,
+    split_by_server,
     strided_runs,
 )
 from listio_pfs.bench import reassemble_file
@@ -476,6 +477,39 @@ class TestSieving:
         assert final == overlay(bytes(8 * 1024), regions, stream)
 
     @pytest.mark.parametrize("writing", [False, True])
+    def test_windows_are_made_once(self, cluster, unique_name, monkeypatch,
+                                   writing):
+        # Three 32 KiB windows, two of whose edges cut a region: the plan
+        # cuts them on its first access, and a second access reuses them
+        # and sends what the first sent.
+        monkeypatch.setattr(client_module, "SIEVING_WINDOW", 32768)
+        regions = [(i * 1100, 900) for i in range(88)]
+        plan = make_plan(regions)
+        windows = plan.windows(32768)
+        assert len(windows) == 3 and plan.windows(32768) is windows
+        rng = random.Random(9)
+        image = rng.randbytes(88 * 1100)
+        with prepared_file(cluster, unique_name, image) as session:
+            counts = []
+            for _access in range(2):
+                stream = rng.randbytes(plan.total_length)
+                if writing:
+                    m = access_sieving_write(session, plan, stream)
+                    image = overlay(image, regions, stream)
+                    got = reassemble_file(cluster.storage_roots, session.handle,
+                                          session.striping, len(image))
+                    assert got == image
+                else:
+                    buf = bytearray(plan.total_length)
+                    m = access_sieving_read(session, plan, buf)
+                    assert buf == b"".join(image[off : off + n]
+                                           for off, n in regions)
+                counts.append((m.logical_requests, m.server_messages))
+            assert counts[0] == counts[1]
+            assert counts[0][0] == (6 if writing else 3)
+        assert plan.windows(32768) is windows
+
+    @pytest.mark.parametrize("writing", [False, True])
     @pytest.mark.parametrize("mem,moves", [
         (None, 0),                                       # one memory region
         ([(7 + i * 600, 512) for i in range(96)], 1),    # one region a piece
@@ -815,7 +849,7 @@ class TestOneStripe:
                 data = rng.randbytes(length)
                 pvfs_write(session, offset, data)
                 image[offset : offset + length] = data
-            messages = fan_out(((offset, length),), sp)
+            messages = fan_out(offset, length, sp)
             m = session.metrics
             assert (m.logical_requests, m.server_messages) == (1, len(messages))
             assert (m.wire_bytes_read, m.wire_bytes_written) == (
@@ -921,7 +955,8 @@ class TestListMessages:
             monkeypatch.setattr(wire, "MAX_LIST_REGIONS", limit)
             batches = [file_regions[i : i + limit]
                        for i in range(0, len(file_regions), limit)]
-            messages = sum(len(fan_out(batch, sp, limit)) for batch in batches)
+            messages = sum(len(split_by_server(batch, sp, limit))
+                           for batch in batches)
             image = rng.randbytes(end)
             buf = bytearray(buflen)
             plan.scatter(buf, rng.randbytes(plan.total_length))
@@ -943,7 +978,7 @@ class TestListMessages:
         plan = make_plan([(k * 3000, 1000) for k in range(130)])
         image = random.Random(22).randbytes(130 * 3000)
         calls = []
-        for name in ("fan_out", "batch_regions"):
+        for name in ("split_by_server", "batch_regions"):
             real = getattr(client_module, name)
             monkeypatch.setattr(client_module, name,
                                 lambda *args, _real=real, _name=name: (
@@ -959,7 +994,7 @@ class TestListMessages:
                 if access:
                     assert calls == []
                 else:
-                    assert calls.count("fan_out") == 3
+                    assert calls.count("split_by_server") == 3
 
 
 class TestMetrics:
@@ -1030,6 +1065,7 @@ class TestPlanValidation:
             ):
                 assert m.logical_requests == 0
                 assert m.useful_bytes == 0
+        assert plan.windows(32768) == []
 
 
 @st.composite

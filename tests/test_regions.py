@@ -214,7 +214,7 @@ class TestServerSpans:
                 end = r.end
         # the contiguous fan-out sends each server its span as one message
         # of at most three runs carrying the split's file-order bytes
-        contiguous = fan_out([Region(offset, length)], sp)
+        contiguous = fan_out(offset, length, sp)
         assert [m.slot for m in contiguous] == list(spans)
         for server, (span,), runs in contiguous:
             assert span == spans[server]
@@ -230,7 +230,7 @@ class TestFanOutShapes:
 
     def test_cyclic_small_batch_is_one_back_to_back_run_a_message(self):
         batch = [(i * 1024, 512) for i in range(64)]
-        out = fan_out(batch, self.SP4, 64)
+        out = split_by_server(batch, self.SP4)
         assert len(out) == 4
         for m in out:
             ((_pos, _at, size, stride, count),) = m.runs
@@ -238,7 +238,7 @@ class TestFanOutShapes:
 
     def test_cyclic_large_batch_is_one_strided_run_a_message(self):
         batch = [(i * 262144, 131072) for i in range(64)]
-        out = fan_out(batch, self.SP4, 64)
+        out = split_by_server(batch, self.SP4)
         assert len(out) == 8
         for m in out:
             ((_pos, _at, size, stride, count),) = m.runs
@@ -247,7 +247,7 @@ class TestFanOutShapes:
     @pytest.mark.parametrize("offset", [0, 1, 16383, 100000])
     def test_large_contiguous_range_is_at_most_three_runs(self, offset):
         length = 16 << 20
-        out = fan_out([(offset, length)], self.SP4)
+        out = fan_out(offset, length, self.SP4)
         assert len(out) == 4
         assert all(len(m.runs) <= 3 for m in out)
         assert sum(m.regions.total_length for m in out) == length
