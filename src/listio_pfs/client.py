@@ -11,11 +11,15 @@ strategies differ only in the logical requests they hand it:
 * multiple I/O    - one contiguous READ/WRITE per transfer piece, straight
                     from the piece's memory span;
 * data sieving    - one contiguous READ per window of the plan's file
-                    extent, scattered from the session's scratch buffer;
-                    writes overlay the window and WRITE it back
+                    extent, each reply piece landing straight in the plan's
+                    bytes, in a small discard area, or, when it mixes plan
+                    and gap bytes, in the session's scratch, from which
+                    its plan bytes are copied; writes read the window whole
+                    into the scratch, overlay it and WRITE it back
                     (read-modify-write under the manager's per-file token).
-                    A plan cuts its windows once per window size and
-                    keeps them;
+                    A plan cuts its windows once per window size, and fans
+                    them out and finds where their pieces land once per
+                    striping, and keeps them;
 * list I/O        - one READ_LIST/WRITE_LIST per batch of up to 64 file
                     regions, carried as trailing data. A plan fans its
                     batches out once per striping and keeps the messages.
@@ -42,6 +46,7 @@ import mmap
 import socket
 import time
 from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -192,8 +197,10 @@ class AccessPlan:
     copies by fields when the memory regions are the fields of records
     (mem_fields, found on the first gather); a scatter always goes by runs.
     The list messages are fanned out once per striping and batch limit
-    (list_requests). So a plan is immutable once used: what it built for
-    its first access serves every later one.
+    (list_requests), and the sieving windows' messages, with where their
+    read replies land, once per window size and striping
+    (sieving_requests). So a plan is immutable once used: what it built
+    for its first access serves every later one.
     """
 
     def __init__(self, mem, file):
@@ -211,6 +218,7 @@ class AccessPlan:
         self.total_length = file.total_length
         self._list_requests: dict = {}
         self._windows: dict = {}
+        self._sieving_requests: dict = {}
 
     @cached_property
     def mem_runs(self) -> list[Run]:
@@ -297,6 +305,36 @@ class AccessPlan:
             made = self._windows[size] = _cut_windows(self.file, size)
         return made
 
+    def sieving_requests(self, size: int,
+                         sp: StripingParams) -> tuple[list, int, int, int]:
+        """The plan's sieving requests on a file striped by `sp`, one per
+        window of windows(size): (extent, first, last, runs, waves, places,
+        moved), where the window is `extent` bytes long, [first, last) and
+        `runs` are as in windows, `waves` are the daemon messages of its
+        READ and its WRITE (regions.fan_out, in one wave), and `places` and
+        `moved` say where its READ reply pieces land (_landing). Also the
+        byte count of the largest message, and the scratch a read lands
+        in: its first `area` bytes take the mixed pieces at their window
+        offsets, and the next `discard` bytes every piece without plan
+        bytes. Made on first use, then reused; threads that race to make
+        it store equal entries."""
+        made = self._sieving_requests.get((size, sp))
+        if made is None:
+            requests, largest, area, discard = [], 0, 0, 0
+            for ws, we, first, last, runs in self.windows(size):
+                messages = fan_out(ws, we - ws, sp)
+                largest = max(largest, max(message.regions.total_length
+                                           for message in messages))
+                places, moved, spill = _landing(runs, messages)
+                if moved:
+                    area = max(area, we - ws)
+                discard = max(discard, spill)
+                requests.append((we - ws, first, last, runs, [messages],
+                                 places, moved))
+            made = self._sieving_requests[size, sp] = (requests, largest, area,
+                                                       discard)
+        return made
+
 
 def _cut_windows(file: RegionList, size: int) -> list:
     """AccessPlan.windows, made with one walk of the file regions: each
@@ -321,6 +359,88 @@ def _cut_windows(file: RegionList, size: int) -> list:
         pos += length
     windows.append((ws, we, first, pos, strided_runs(pieces)))
     return windows
+
+
+def _landing(runs, messages) -> tuple[list, list, int]:
+    """Where the READ reply pieces of a sieving window land, found from its
+    plan runs (AccessPlan.windows) and its daemon messages. A reply's
+    pieces are the stretches of the window that _pieces cuts from its
+    message's runs. Each lands in one of three places:
+
+    * a piece that holds only plan bytes, in the window's plan bytes, at
+      their positions (counted from the window's first plan byte);
+    * a piece that holds none, in the discard area, from its start;
+    * a piece that mixes both, in the scratch at its window offsets.
+
+    Returns, for each message, one (to, start, end) per piece, `to` being
+    0, 1 or 2 for the plan bytes, the scratch or the discard area; the
+    runs of the plan bytes in mixed pieces, which _move takes out of the
+    scratch; and the length of the largest piece discarded."""
+    # Each plan region of the window as (start, end, plan position).
+    regions = [(at + k * stride, at + k * stride + size, pos + k * size)
+               for pos, at, size, stride, count in runs for k in range(count)]
+    starts = [start for start, _end, _pos in regions]
+
+    def before(x: int) -> int:
+        """The plan bytes of the window that lie before offset x."""
+        i = bisect_right(starts, x) - 1
+        if i < 0:
+            return 0
+        start, end, pos = regions[i]
+        return pos + min(x, end) - start
+
+    places, mixed, discard = [], [], 0
+    for message in messages:
+        mine = []
+        for _pos, at, size, stride, count in message.runs:
+            if stride == size:
+                pieces = [(at, at + size * count)]
+            else:
+                pieces = [(a, a + size)
+                          for a in range(at, at + count * stride, stride)]
+            for a, b in pieces:
+                lo, hi = before(a), before(b)
+                if hi - lo == b - a:
+                    mine.append((0, lo, hi))
+                elif hi == lo:
+                    mine.append((2, 0, b - a))
+                    discard = max(discard, b - a)
+                else:
+                    mine.append((1, a, b))
+                    mixed.append((a, b))
+        places.append(mine)
+    # The plan bytes of the mixed pieces as (position, offset, length), in
+    # file order, a region cut by two adjacent mixed pieces made whole.
+    segments = []
+    for a, b in sorted(mixed):
+        i = max(bisect_right(starts, a) - 1, 0)
+        while i < len(regions) and regions[i][0] < b:
+            start, end, pos = regions[i]
+            lo, hi = max(start, a), min(end, b)
+            if lo < hi:
+                if segments and segments[-1][1] + segments[-1][2] == lo:
+                    segments[-1][2] += hi - lo
+                else:
+                    segments.append([pos + lo - start, lo, hi - lo])
+            i += 1
+    return places, _runs_at(segments), discard
+
+
+def _runs_at(segments) -> list[Run]:
+    """Group (position, offset, length) segments, in file order, into
+    strided runs as regions.strided_runs does, except that a segment
+    continues a run only if its bytes also follow the run's in position."""
+    runs = []
+    for pos, offset, length in segments:
+        if runs:
+            p, at, size, stride, count = runs[-1]
+            gap = offset - (at + (count - 1) * stride)
+            if (length == size and pos == p + count * size and gap > 0
+                    and (gap == stride or count == 1)):
+                runs[-1] = Run(p, at, size, gap, count + 1)
+                continue
+        runs.append(Run(pos, offset, length, length, 1))
+    return runs
 
 
 @contextmanager
@@ -529,6 +649,14 @@ def _pieces(runs, view):
     return pieces[0] if len(pieces) == 1 else pieces
 
 
+def _land(places, into) -> memoryview | list[memoryview]:
+    """A sieving READ reply's landing views: each (to, start, end) of
+    `places` (_landing) as that slice of `into[to]`. One view, or a list,
+    as _pieces gives."""
+    views = [into[to][start:end] for to, start, end in places]
+    return views[0] if len(views) == 1 else views
+
+
 def _contiguous(session: FileSession, opcode: int, offset: int, view) -> None:
     """One READ or WRITE of the view's bytes at file `offset`.
 
@@ -567,7 +695,8 @@ def _check_cap(largest: int) -> None:
         raise ValueError(wire.over_cap(largest))
 
 
-def _exchange(session: FileSession, opcode: int, waves, view) -> None:
+def _exchange(session: FileSession, opcode: int, waves, view,
+              landing=None) -> None:
     """Carry out one fanned-out logical request against the daemons.
 
     `view` holds the bytes of the request's sorted file regions in file
@@ -579,9 +708,10 @@ def _exchange(session: FileSession, opcode: int, waves, view) -> None:
     requests to daemons and that counts them.
 
     A read's reply is received straight into the slices of the view it
-    fills (_pieces). A write of one back-to-back run is sent from the
-    view; any other write's payload is copied out run by run just before
-    it is sent. A failure leaves each channel that did not return its
+    fills (_pieces), or, when `landing` is given, into the views it yields
+    for each message in send order (a sieving read's, _land). A write of
+    one back-to-back run is sent from the view; any other write's payload
+    is copied out run by run just before it is sent. A failure leaves each channel that did not return its
     whole reply owing it, and FileSession._channel replaces such a channel
     before its next use.
     """
@@ -597,7 +727,7 @@ def _exchange(session: FileSession, opcode: int, waves, view) -> None:
             channel = session._channel(slot)
             out = payload = None
             if reading:
-                out = _pieces(runs, view)
+                out = _pieces(runs, view) if landing is None else next(landing)
             elif len(runs) == 1 and runs[0][2] == runs[0][3]:  # size == stride
                 payload = view[runs[0][1] : runs[0][1] + total]
             else:
@@ -686,27 +816,51 @@ def access_multiple(
 
 def _sieve(session: FileSession, plan: AccessPlan, staged: memoryview,
            writing: bool) -> None:
-    """Read each extent window that holds plan bytes whole, then move its
-    plan bytes out of it into `staged`, the plan's bytes in plan order, or
-    into it from `staged` and write it back whole. A window's plan bytes
-    move with one walk of its runs, which the plan cut once
-    (AccessPlan.windows). Each window is read into the session's scratch;
-    the first window is the largest, so the scratch grows at most once."""
-    for ws, we, first, last, runs in plan.windows(SIEVING_WINDOW):
-        window = session._scratch_view(we - ws)
-        _contiguous(session, wire.READ, ws, window)
-        _move(runs, window, staged[first:last], writing)
-        if writing:
-            _contiguous(session, wire.WRITE, ws, window)
+    """Move the plan's bytes between each extent window that holds some and
+    `staged`, the plan's bytes in plan order, with the window's READ and,
+    for a write, its WRITE; the plan made their messages and landing once
+    (AccessPlan.sieving_requests), so no message is over the cap when the
+    first is sent.
+
+    A read lands each reply piece where its bytes belong (_landing): a
+    piece of plan bytes only straight in `staged`, a piece without any in
+    the discard area, and only a piece that mixes both in the scratch,
+    whose plan bytes then move into `staged` with one walk of their runs.
+    A write reads each window whole into the scratch, overlays it from
+    `staged` along the window's runs and writes it back whole. The session
+    keeps the scratch; each access takes it once, at the size it needs."""
+    requests, largest, area, discard = plan.sieving_requests(
+        SIEVING_WINDOW, session.striping)
+    _check_cap(largest)
+    if writing:
+        scratch = session._scratch_view(requests[0][0])  # the largest window
+        for extent, first, last, runs, waves, _places, _moved in requests:
+            window = scratch[:extent]
+            _exchange(session, wire.READ, waves, window)
+            _move(runs, window, staged[first:last], True)
+            _exchange(session, wire.WRITE, waves, window)
+        return
+    scratch = spill = None
+    if area + discard:
+        scratch = session._scratch_view(area + discard)
+        spill = scratch[area:]
+    for _extent, first, last, _runs, waves, places, moved in requests:
+        into = (staged[first:last], scratch, spill)
+        _exchange(session, wire.READ, waves, None,
+                  (_land(mine, into) for mine in places))
+        if moved:
+            _move(moved, scratch, into[0], False)
 
 
 def access_sieving_read(
     session: FileSession, plan: AccessPlan, buffer
 ) -> ClientMetrics:
-    """Fetch the plan extent in large windows, scattering wanted bytes.
-    A plan whose memory is not one span is staged: the buffer is filled
-    with one scatter once every window is read, so a failed access leaves
-    it untouched."""
+    """Fetch the plan extent in large windows, landing wanted bytes in
+    place (_sieve). A plan whose memory is not one span is staged: the
+    buffer is filled with one scatter once every window is read, so a
+    failed access leaves it untouched. A plan whose memory is one span
+    receives into the buffer itself, so, as with a list read, a failed
+    access may leave part of it filled."""
     view = memoryview(buffer).cast("B")
 
     def body():

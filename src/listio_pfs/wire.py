@@ -313,29 +313,32 @@ def read_into(sock: socket.socket, view, n: int) -> None:
         got += r
 
 
-def read_into_pieces(sock: socket.socket, pieces, n: int) -> None:
+def read_into_pieces(sock: socket.socket, pieces, n: int, room: int) -> None:
     """Fill the first n bytes of a list of non-empty views, in list order,
-    from the socket; one call receives into every view it reaches."""
-    views = []
-    left = n
-    for piece in pieces:
-        if left <= 0:
-            break
-        views.append(piece[:left])
-        left -= len(views[-1])
+    from the socket; `room`, their total length, is at least n. One call
+    receives into every view it reaches. The list is left as it is."""
+    views = pieces
+    if n < room:  # cut the views at n bytes, so no byte past them is taken
+        views, left = [], n
+        for piece in pieces:
+            if left <= 0:
+                break
+            views.append(piece[:left])
+            left -= len(views[-1])
     got = i = 0
-    while i < len(views):
-        r = sock.recvmsg_into(views[i : i + IOV_MAX])[0]
+    while got < n:
+        r = sock.recvmsg_into(views[i : i + IOV_MAX] if i or len(views) > IOV_MAX
+                              else views)[0]
         if r == 0:
             raise ProtocolError(f"connection closed after {got} of {n} bytes")
         got += r
-        while r:
-            size = len(views[i])
-            if r < size:
-                views[i] = views[i][r:]
-                break
-            r -= size
-            i += 1
+        if got < n:  # step past the views filled, and cut one filled in part
+            if views is pieces:
+                views = list(pieces)
+            while r >= len(views[i]):
+                r -= len(views[i])
+                i += 1
+            views[i] = views[i][r:]
 
 
 def _send_frame(sock: socket.socket, head: bytes, payload) -> None:
@@ -408,7 +411,7 @@ def recv_response(
                 f"response payload {payload_length} exceeds buffer {room}"
             )
         if listed:
-            read_into_pieces(sock, out, payload_length)
+            read_into_pieces(sock, out, payload_length, room)
         else:
             read_into(sock, out, payload_length)
         return request_id, status, payload_length

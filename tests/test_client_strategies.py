@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import itertools
 import math
 import random
 import socket
@@ -367,7 +368,106 @@ class TestFlashWrite:
         assert got == want
 
 
+@st.composite
+def sieving_reads(draw):
+    """A striping over 1 to 8 daemons with small stripes; file regions that
+    lie inside a stripe, straddle one stripe edge or span several stripes,
+    some back to back; a sieving window from one stripe up to the extent;
+    and memory that is one span or scattered. Returns (sp, window, file,
+    mem, buffer length)."""
+    pcount, ssize = draw(st.integers(1, 8)), draw(st.integers(4, 48))
+    file, at = [], draw(st.integers(0, 3 * ssize))
+    for kind in draw(st.lists(st.sampled_from(["inside", "edge", "span"]),
+                              min_size=1, max_size=12)):
+        within = at % ssize
+        if kind == "inside":
+            n = draw(st.integers(1, ssize - within))
+        elif kind == "edge":
+            n = ssize - within + draw(st.integers(1, ssize))
+        else:
+            n = draw(st.integers(2, 4)) * ssize + draw(st.integers(0, ssize))
+        file.append((at, n))
+        at += n + draw(st.integers(0, 3 * ssize))
+    extent = file[-1][0] + file[-1][1] - file[0][0]
+    window = draw(st.integers(ssize, max(ssize, extent)))
+    total = sum(n for _off, n in file)
+    if draw(st.booleans()):
+        mem, buflen = [(0, total)], total
+    else:
+        mem, buflen = random_mem_regions(
+            random.Random(draw(st.integers(0, 2**32))), total, max_regions=20)
+    sp = StripingParams(draw(st.integers(0, pcount - 1)), pcount, ssize)
+    return sp, window, file, mem, buflen
+
+
+_sieving_names = itertools.count(1)
+
+
 class TestSieving:
+    @given(case=sieving_reads(), seed=st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_reads_land_the_oracle_bytes(self, cluster, case, seed):
+        # Each reply piece lands in the buffer, in the discard area or in
+        # the scratch; whichever it takes, the buffer gets the flat
+        # oracle's bytes, the other bytes keep theirs, and each window is
+        # read whole.
+        sp, window, file, mem, buflen = case
+        rng = random.Random(seed)
+        end = file[-1][0] + file[-1][1]
+        image = rng.randbytes(end)
+        plan = make_plan(file, mem)
+        before = rng.randbytes(buflen)
+        expected = bytearray(before)
+        reference_scatter(mem, expected,
+                          b"".join(image[off : off + n] for off, n in file))
+        extents = sum(min(ws + window, end) - ws
+                      for ws in range(file[0][0], end, window)
+                      if any(off < ws + window and off + n > ws
+                             for off, n in file))
+        name = f"sieve-read-{next(_sieving_names)}"
+        with pvfs_create(cluster.manager_addr, name, sp) as session:
+            pvfs_write(session, 0, image)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(client_module, "SIEVING_WINDOW", window)
+                buf = bytearray(before)
+                m = access_sieving_read(session, plan, buf)
+        assert buf == expected
+        assert m.wire_bytes_read == extents
+        assert m.logical_requests == count_windows(file, window)
+
+    @pytest.mark.parametrize("mem", [None, [(4200, 4096), (0, 4096)]],
+                             ids=["direct", "staged"])
+    def test_stripe_aligned_reads_move_nothing(self, cluster, unique_name,
+                                               monkeypatch, mem):
+        # Cyclic-large scaled down: regions of two stripes at a four-stripe
+        # stride over four daemons. Every reply piece is a whole stripe,
+        # all plan bytes or none, so none lands in the scratch at its
+        # window offset, no plan byte is moved out of the scratch, and the
+        # scratch is one stripe of discard area.
+        sp = StripingParams(0, 4, 512)
+        regions = [(k * 4 * 512, 2 * 512) for k in range(8)]
+        plan = make_plan(regions, mem)
+        image = random.Random(3).randbytes(32 * 512)
+        wanted = b"".join(image[off : off + n] for off, n in regions)
+        moves = []
+
+        def counted(runs, *args):
+            moves.append(runs)
+            return _move(runs, *args)
+
+        with prepared_file(cluster, unique_name, image, sp) as session:
+            for _access in range(2):
+                buf = bytearray(max(off + n for off, n in plan.mem))
+                monkeypatch.setattr(client_module, "_move", counted)
+                m = access_sieving_read(session, plan, buf)
+                monkeypatch.undo()
+                assert plan.gather(buf) == wanted
+                assert (m.logical_requests, m.server_messages) == (1, 4)
+                assert m.wire_bytes_read == 30 * 512
+            assert len(session._scratch) <= sp.ssize
+        # Only a staged plan's scatter moves bytes, along its memory runs.
+        assert moves == [plan.mem_runs] * (2 if mem else 0)
+
     def test_calls_share_the_session_scratch_until_close(self, cluster,
                                                          unique_name,
                                                          monkeypatch):

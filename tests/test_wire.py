@@ -536,6 +536,37 @@ class TestPieces:
             pos += size + 3
         assert buffer == want
 
+    @pytest.mark.parametrize("short", [1, 0], ids=["short", "full"])
+    def test_a_reply_fills_its_bytes_and_leaves_the_list(self, short):
+        # 512 pieces of 512 B behind a small receive buffer, so each reply
+        # takes many receives: a reply a byte short of the pieces fills
+        # exactly its bytes, and neither reply changes the list it is
+        # given, which a plan may keep and hand in again.
+        buffer = bytearray(b"\xee" * (512 * 515))
+        pieces = self._pieces(buffer, [512] * 512, 3)
+        given = list(pieces)
+        payload = random.Random(7).randbytes(512 * 512 - short)
+        writer, reader = socket.socketpair()
+        try:
+            reader.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            thread = threading.Thread(target=wire.send_response,
+                                      args=(writer, 4, wire.STATUS_OK, payload))
+            thread.start()
+            assert wire.recv_response(reader, out=pieces) == (
+                4, wire.STATUS_OK, len(payload))
+            thread.join(60)
+        finally:
+            writer.close()
+            reader.close()
+        assert len(pieces) == len(given)
+        assert all(piece is was and len(piece) == 512
+                   for piece, was in zip(pieces, given))
+        want = bytearray(b"\xee" * len(buffer))
+        for k in range(512):
+            chunk = payload[k * 512 : k * 512 + 512]
+            want[k * 515 : k * 515 + len(chunk)] = chunk
+        assert buffer == want
+
     def test_one_view_fills_over_many_receives(self):
         payload = random.Random(6).randbytes(1 << 20)
         buffer = bytearray(b"\xee" * (len(payload) + 5))
