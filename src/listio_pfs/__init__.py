@@ -1,21 +1,6 @@
 """Miniature striped parallel file system with three noncontiguous I/O
 strategies (multiple, data sieving, list I/O) and a benchmark harness."""
 
-from .client import (
-    AccessPlan,
-    ClientMetrics,
-    FileSession,
-    access_list,
-    access_multiple,
-    access_sieving_read,
-    access_sieving_write,
-    pvfs_create,
-    pvfs_open,
-    pvfs_read,
-    pvfs_read_list,
-    pvfs_write,
-    pvfs_write_list,
-)
 from .errors import (
     BenchError,
     ExistsError,
@@ -35,6 +20,22 @@ from .regions import (
     stripe_location,
 )
 from .server import IoDaemon, Manager
+
+# The client's names load it on first use, so that the manager and the
+# daemons, which import this package, never compile it.
+_CLIENT_NAMES = frozenset({
+    "AccessPlan", "ClientMetrics", "FileSession", "access_list",
+    "access_multiple", "access_sieving_read", "access_sieving_write",
+    "pvfs_create", "pvfs_open", "pvfs_read", "pvfs_read_list", "pvfs_write",
+    "pvfs_write_list",
+})
+
+
+def __getattr__(name: str):
+    if name in _CLIENT_NAMES:
+        from . import client
+        return getattr(client, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AccessPlan",

@@ -11,29 +11,34 @@ strategies differ only in the logical requests they hand it:
 * multiple I/O    - one contiguous READ/WRITE per transfer piece, straight
                     from the piece's memory span;
 * data sieving    - one contiguous READ per window of the plan's file
-                    extent, each reply piece landing straight in the plan's
-                    bytes, in a small discard area, or, when it mixes plan
-                    and gap bytes, in the session's scratch, from which
-                    its plan bytes are copied; writes read the window whole
-                    into the scratch, overlay it and WRITE it back
+                    extent; writes read the window whole into the
+                    session's scratch, overlay it and WRITE it back
                     (read-modify-write under the manager's per-file token).
-                    A plan cuts its windows once per window size, and fans
-                    them out and finds where their pieces land once per
-                    striping, and keeps them;
+                    A read window whose reply pieces each hold only plan
+                    bytes or none lands them straight in the plan's bytes
+                    or in a small discard area; any other window lands
+                    whole in the scratch, from which its plan bytes are
+                    copied;
 * list I/O        - one READ_LIST/WRITE_LIST per batch of up to 64 file
-                    regions, carried as trailing data. A plan fans its
-                    batches out once per striping and keeps the messages.
+                    regions, carried as trailing data.
+
+A plan turns its file regions into one request table per strategy and
+striping, on first use, and keeps it (AccessPlan.table): each request is
+its daemon messages in waves and the runs of plan bytes it moves through
+the scratch, none for a list batch. A message says where its bytes lie as
+places, slices of the access's views, so _exchange receives every read
+into them and sends every write from them, whatever the strategy.
 
 A list or sieving access moves its plan's bytes between the buffer and one
 staging buffer once (_plan_bytes), unless the plan's memory is one span,
-which is used in place; so an access stages at most the plan's bytes. Its
-batches and windows then take slices of the staging. Bytes move along
-whole run lists with _move, which copies each strided run whole in one
-tight loop, or, to gather a plan whose memory regions are the fields of
-records (FLASH's cells), each row of records whole into a staging array,
-then one strided slice of it per copy. An AccessPlan keeps what it builds
-on first use, so it is immutable once used. Every API call counts its
-buffer in bytes, whatever the buffer's item size.
+which is used in place; so an access stages at most the plan's bytes.
+Its messages' places then address the staging by plan position. Bytes
+move along whole run lists with _move, which copies each strided run whole
+in one tight loop, or, to gather a plan whose memory regions are the
+fields of records (FLASH's cells), each row of records whole into a
+staging array, then one strided slice of it per copy. An AccessPlan keeps
+what it builds on first use, so it is immutable once used. Every API call
+counts its buffer in bytes, whatever the buffer's item size.
 
 All strategies move byte-identical data; they differ in request counts and
 in how much unwanted data crosses the wire, which ClientMetrics records.
@@ -190,17 +195,15 @@ class AccessPlan:
     non-overlapping; the memory list may be in any order.
 
     Both lists are walked as strided runs (regions.strided_runs), each
-    built on first use: the memory runs move the plan's bytes to and from
-    the buffer, whole, once per access (gather and scatter), and the file
-    regions, cut at window edges and grouped once per window size
-    (windows), move them to and from sieving windows. A gather
+    built on first use. The memory runs move the plan's bytes to and from
+    the buffer, whole, once per access (gather and scatter). A gather
     copies by fields when the memory regions are the fields of records
     (mem_fields, found on the first gather); a scatter always goes by runs.
-    The list messages are fanned out once per striping and batch limit
-    (list_requests), and the sieving windows' messages, with where their
-    read replies land, once per window size and striping
-    (sieving_requests). So a plan is immutable once used: what it built
-    for its first access serves every later one.
+    The file regions become each strategy's request table (table): list
+    batches fanned out once per striping and batch limit, and sieving
+    windows cut, fanned out and placed once per striping and window size.
+    So a plan is immutable once used: what it built for its first access
+    serves every later one.
     """
 
     def __init__(self, mem, file):
@@ -216,9 +219,7 @@ class AccessPlan:
         self.mem = mem
         self.file = file
         self.total_length = file.total_length
-        self._list_requests: dict = {}
-        self._windows: dict = {}
-        self._sieving_requests: dict = {}
+        self._tables: dict = {}
 
     @cached_property
     def mem_runs(self) -> list[Run]:
@@ -272,78 +273,77 @@ class AccessPlan:
                            memoryview(out))
         return out
 
-    def list_requests(self, sp: StripingParams, limit: int) -> tuple[list, int]:
-        """The plan's list requests on a file striped by `sp`, at most
-        `limit` regions a message: one (pos, length, waves) per batch of
-        `limit` file regions, whose plan bytes are [pos, pos+length) and
-        whose daemon messages are grouped in waves (_waves), and the byte
-        count of the largest message. Made on first use, then reused;
-        threads that race to make it store equal entries."""
-        made = self._list_requests.get((sp, limit))
+    def table(self, build, sp: StripingParams, *args) -> tuple[list, int, int]:
+        """build(file regions, sp, *args): the plan's requests on a file
+        striped by `sp`, as (requests, largest, scratch). Each request is
+        (waves, runs): its daemon messages (slot, local regions, places)
+        grouped so that no wave holds two for one daemon (_waves, _placed),
+        and the runs of plan bytes it moves between the scratch, at their
+        window offsets, and the plan's bytes, at their plan positions.
+        `largest` is the byte count of the largest message and `scratch`
+        the bytes of scratch an access needs. Made on first use, then
+        reused; threads that race to make it store equal tables."""
+        key = (build, sp, *args)
+        made = self._tables.get(key)
         if made is None:
-            requests, pos, largest = [], 0, 0
-            for batch in batch_regions(self.file, limit):
-                messages = split_by_server(batch, sp, limit)
-                largest = max(largest, max(message.regions.total_length
-                                           for message in messages))
-                requests.append((pos, batch.total_length, _waves(messages)))
-                pos += batch.total_length
-            made = self._list_requests[sp, limit] = requests, largest
-        return made
-
-    def windows(self, size: int) -> list:
-        """(ws, we, first, last, runs) for each window [ws, we) that tiles
-        the file extent from its start in `size` steps and holds plan
-        bytes: [first, last) are the plan bytes whose file offsets lie in
-        it, and `runs` the strided runs of the file regions cut at its
-        edges, with positions counted from `first` and offsets from `ws`.
-        Windows that hold none are left out, so an empty plan has none.
-        Made on first use for each size, then reused; threads that race to
-        make it store equal lists."""
-        made = self._windows.get(size)
-        if made is None:
-            made = self._windows[size] = _cut_windows(self.file, size)
-        return made
-
-    def sieving_requests(self, size: int,
-                         sp: StripingParams) -> tuple[list, int, int, int]:
-        """The plan's sieving requests on a file striped by `sp`, one per
-        window of windows(size): (extent, first, last, runs, waves, places,
-        moved), where the window is `extent` bytes long, [first, last) and
-        `runs` are as in windows, `waves` are the daemon messages of its
-        READ and its WRITE (regions.fan_out, in one wave), and `places` and
-        `moved` say where its READ reply pieces land (_landing). Also the
-        byte count of the largest message, and the scratch a read lands
-        in: its first `area` bytes take the mixed pieces at their window
-        offsets, and the next `discard` bytes every piece without plan
-        bytes. Made on first use, then reused; threads that race to make
-        it store equal entries."""
-        made = self._sieving_requests.get((size, sp))
-        if made is None:
-            requests, largest, area, discard = [], 0, 0, 0
-            for ws, we, first, last, runs in self.windows(size):
-                messages = fan_out(ws, we - ws, sp)
-                largest = max(largest, max(message.regions.total_length
-                                           for message in messages))
-                places, moved, spill = _landing(runs, messages)
-                if moved:
-                    area = max(area, we - ws)
-                discard = max(discard, spill)
-                requests.append((we - ws, first, last, runs, [messages],
-                                 places, moved))
-            made = self._sieving_requests[size, sp] = (requests, largest, area,
-                                                       discard)
+            made = self._tables[key] = build(self.file, sp, *args)
         return made
 
 
-def _cut_windows(file: RegionList, size: int) -> list:
-    """AccessPlan.windows, made with one walk of the file regions: each
-    region is cut where it crosses a window edge, and each window's pieces
-    are grouped into runs once."""
+def _list_table(file: RegionList, sp: StripingParams,
+                limit: int) -> tuple[list, int, int]:
+    """AccessPlan.table for list I/O: one request per batch of `limit` file
+    regions, whose messages (regions.split_by_server) land their bytes in
+    the plan's bytes at their plan positions, with no runs and no
+    scratch."""
+    requests, pos, largest = [], 0, 0
+    for batch in batch_regions(file, limit):
+        messages = split_by_server(batch, sp, limit)
+        largest = max(largest, max(message.regions.total_length
+                                   for message in messages))
+        requests.append((_waves(_placed(messages, 0, pos)), ()))
+        pos += batch.total_length
+    return requests, largest, 0
+
+
+def _sieving_table(file: RegionList, sp: StripingParams, size: int,
+                   writing: bool) -> tuple[list, int, int]:
+    """AccessPlan.table for data sieving in windows of `size` bytes: one
+    request per window of _cut_windows, its READ's and WRITE's messages
+    the window's fan-out (regions.fan_out) in one wave. A read window whose
+    reply pieces each hold only plan bytes or none lands them where their
+    bytes belong (_in_place) and moves nothing. Any other window, and
+    every write window, lands whole in the scratch at its window offsets
+    and moves its runs. The scratch is the largest such window, or the
+    largest piece discarded."""
+    requests, largest, scratch = [], 0, 0
+    for ws, we, runs in _cut_windows(file, size):
+        messages = fan_out(ws, we - ws, sp)
+        largest = max(largest, max(message.regions.total_length
+                                   for message in messages))
+        placed = _placed(messages, 1)
+        landed = None if writing else _in_place(placed, runs)
+        if landed is None:
+            requests.append(([placed], runs))
+            scratch = max(scratch, we - ws)
+        else:
+            requests.append(([landed], ()))
+            scratch = max([scratch] + [end for _slot, _local, places in landed
+                                       for to, _start, end in places if to])
+    return requests, largest, scratch
+
+
+def _cut_windows(file: RegionList, size: int):
+    """Yield (ws, we, runs) for each window [ws, we) that tiles the file
+    extent from its start in `size` steps and holds plan bytes: `runs` are
+    the strided runs of the file regions cut at its edges, their positions
+    plan positions and their offsets counted from ws. One walk of the file
+    regions cuts each where it crosses a window edge. An empty plan has no
+    windows."""
     if not len(file):
-        return []
+        return
     ext = extent(file)
-    windows, pieces, first, pos = [], [], 0, 0
+    pieces, first, pos = [], 0, 0
     ws, we = ext.offset, min(ext.offset + size, ext.end)
     for offset, length in file:
         while offset + length > we:
@@ -351,96 +351,49 @@ def _cut_windows(file: RegionList, size: int) -> list:
                 take = we - offset
                 pieces.append((offset - ws, take))
                 offset, length, pos = we, length - take, pos + take
-            windows.append((ws, we, first, pos, strided_runs(pieces)))
+            yield ws, we, strided_runs(pieces, first)
             pieces, first = [], pos
             ws = offset - (offset - ext.offset) % size  # the one holding offset
             we = min(ws + size, ext.end)
         pieces.append((offset - ws, length))
         pos += length
-    windows.append((ws, we, first, pos, strided_runs(pieces)))
-    return windows
+    yield ws, we, strided_runs(pieces, first)
 
 
-def _landing(runs, messages) -> tuple[list, list, int]:
-    """Where the READ reply pieces of a sieving window land, found from its
-    plan runs (AccessPlan.windows) and its daemon messages. A reply's
-    pieces are the stretches of the window that _pieces cuts from its
-    message's runs. Each lands in one of three places:
-
-    * a piece that holds only plan bytes, in the window's plan bytes, at
-      their positions (counted from the window's first plan byte);
-    * a piece that holds none, in the discard area, from its start;
-    * a piece that mixes both, in the scratch at its window offsets.
-
-    Returns, for each message, one (to, start, end) per piece, `to` being
-    0, 1 or 2 for the plan bytes, the scratch or the discard area; the
-    runs of the plan bytes in mixed pieces, which _move takes out of the
-    scratch; and the length of the largest piece discarded."""
+def _in_place(messages, runs) -> list | None:
+    """A sieving read window's messages (_placed into the scratch at window
+    offsets) with each reply piece moved where its bytes belong, or None
+    when a piece mixes plan and gap bytes: a piece of plan bytes only goes
+    to the plan's bytes at their plan positions, found from the window's
+    `runs`, and a piece with none to the scratch's start, the discard
+    area."""
     # Each plan region of the window as (start, end, plan position).
     regions = [(at + k * stride, at + k * stride + size, pos + k * size)
                for pos, at, size, stride, count in runs for k in range(count)]
     starts = [start for start, _end, _pos in regions]
 
     def before(x: int) -> int:
-        """The plan bytes of the window that lie before offset x."""
+        """The plan position of the window's first plan byte at or past
+        offset x."""
         i = bisect_right(starts, x) - 1
         if i < 0:
-            return 0
+            return regions[0][2]
         start, end, pos = regions[i]
         return pos + min(x, end) - start
 
-    places, mixed, discard = [], [], 0
-    for message in messages:
+    landed = []
+    for slot, local, places in messages:
         mine = []
-        for _pos, at, size, stride, count in message.runs:
-            if stride == size:
-                pieces = [(at, at + size * count)]
+        for _to, a, b in places:
+            lo, hi = before(a), before(b)
+            if hi - lo == b - a:
+                mine.append((0, lo, hi))
+            elif hi == lo:
+                mine.append((1, 0, b - a))
             else:
-                pieces = [(a, a + size)
-                          for a in range(at, at + count * stride, stride)]
-            for a, b in pieces:
-                lo, hi = before(a), before(b)
-                if hi - lo == b - a:
-                    mine.append((0, lo, hi))
-                elif hi == lo:
-                    mine.append((2, 0, b - a))
-                    discard = max(discard, b - a)
-                else:
-                    mine.append((1, a, b))
-                    mixed.append((a, b))
-        places.append(mine)
-    # The plan bytes of the mixed pieces as (position, offset, length), in
-    # file order, a region cut by two adjacent mixed pieces made whole.
-    segments = []
-    for a, b in sorted(mixed):
-        i = max(bisect_right(starts, a) - 1, 0)
-        while i < len(regions) and regions[i][0] < b:
-            start, end, pos = regions[i]
-            lo, hi = max(start, a), min(end, b)
-            if lo < hi:
-                if segments and segments[-1][1] + segments[-1][2] == lo:
-                    segments[-1][2] += hi - lo
-                else:
-                    segments.append([pos + lo - start, lo, hi - lo])
-            i += 1
-    return places, _runs_at(segments), discard
-
-
-def _runs_at(segments) -> list[Run]:
-    """Group (position, offset, length) segments, in file order, into
-    strided runs as regions.strided_runs does, except that a segment
-    continues a run only if its bytes also follow the run's in position."""
-    runs = []
-    for pos, offset, length in segments:
-        if runs:
-            p, at, size, stride, count = runs[-1]
-            gap = offset - (at + (count - 1) * stride)
-            if (length == size and pos == p + count * size and gap > 0
-                    and (gap == stride or count == 1)):
-                runs[-1] = Run(p, at, size, gap, count + 1)
-                continue
-        runs.append(Run(pos, offset, length, length, 1))
-    return runs
+                return None
+        landed.append((slot, local, mine))
+    return landed
 
 
 @contextmanager
@@ -627,34 +580,32 @@ def _waves(messages) -> list:
     waves = []
     depth = {}
     for message in messages:
-        k = depth.get(message.slot, 0)
-        depth[message.slot] = k + 1
+        slot = message[0]
+        k = depth.get(slot, 0)
+        depth[slot] = k + 1
         if k == len(waves):
             waves.append([])
         waves[k].append(message)
     return waves
 
 
-def _pieces(runs, view):
-    """Where a read message's bytes land in `view`, for its reply to be
-    received straight into: one slice of it, or a list of slices, one per
-    back-to-back stretch, in message order."""
-    pieces = []
-    for _pos, at, size, stride, count in runs:
-        if stride == size:
-            pieces.append(view[at : at + size * count])
-        else:
-            pieces += [view[a : a + size]
-                       for a in range(at, at + count * stride, stride)]
-    return pieces[0] if len(pieces) == 1 else pieces
-
-
-def _land(places, into) -> memoryview | list[memoryview]:
-    """A sieving READ reply's landing views: each (to, start, end) of
-    `places` (_landing) as that slice of `into[to]`. One view, or a list,
-    as _pieces gives."""
-    views = [into[to][start:end] for to, start, end in places]
-    return views[0] if len(views) == 1 else views
+def _placed(messages, to: int = 0, shift: int = 0) -> list:
+    """Each daemon message (regions.Message) as (slot, local regions,
+    places): one place (to, start, end) per back-to-back stretch of the
+    request's bytes that its runs take, in message order, its offsets
+    moved by `shift`. _exchange finds the stretch as into[to][start:end]."""
+    placed = []
+    for slot, local, runs in messages:
+        places = []
+        for _pos, at, size, stride, count in runs:
+            at += shift
+            if stride == size:
+                places.append((to, at, at + size * count))
+            else:
+                places += [(to, a, a + size)
+                           for a in range(at, at + count * stride, stride)]
+        placed.append((slot, local, places))
+    return placed
 
 
 def _contiguous(session: FileSession, opcode: int, offset: int, view) -> None:
@@ -676,7 +627,7 @@ def _contiguous(session: FileSession, opcode: int, offset: int, view) -> None:
         if length > wire.MAX_PAYLOAD:  # else no message can be over the cap
             _check_cap(max(message.regions.total_length
                            for message in messages))
-        _exchange(session, opcode, (messages,), view)
+        _exchange(session, opcode, (_placed(messages),), (view,))
         return
     _check_cap(length)
     m = session.metrics
@@ -695,25 +646,21 @@ def _check_cap(largest: int) -> None:
         raise ValueError(wire.over_cap(largest))
 
 
-def _exchange(session: FileSession, opcode: int, waves, view,
-              landing=None) -> None:
+def _exchange(session: FileSession, opcode: int, waves, into) -> None:
     """Carry out one fanned-out logical request against the daemons.
 
-    `view` holds the bytes of the request's sorted file regions in file
-    order: reads fill it, writes send it. `waves` are its daemon messages
-    (regions.Message), grouped so that no wave holds two for one daemon;
-    a list request's come ready-made from its plan (list_requests). Each
-    wave is sent to all its daemons before any reply is awaited. This and
-    the one-stripe path of _contiguous are the only code that sends data
-    requests to daemons and that counts them.
-
-    A read's reply is received straight into the slices of the view it
-    fills (_pieces), or, when `landing` is given, into the views it yields
-    for each message in send order (a sieving read's, _land). A write of
-    one back-to-back run is sent from the view; any other write's payload
-    is copied out run by run just before it is sent. A failure leaves each channel that did not return its
-    whole reply owing it, and FileSession._channel replaces such a channel
-    before its next use.
+    `waves` are its daemon messages, (slot, local regions, places) as
+    _placed makes them, grouped so that no wave holds two for one daemon;
+    a plan's come ready-made from its table (AccessPlan.table). Each place
+    (to, start, end) is the slice into[to][start:end] of `into`, the
+    access's views, and a message's places hold its bytes in wire order.
+    A read's reply is received straight into them; a write sends its one
+    place as it is, or its places joined. Each wave is sent to all its
+    daemons before any reply is awaited. This and the one-stripe path of
+    _contiguous are the only code that sends data requests to daemons and
+    that counts them. A failure leaves each channel that did not return
+    its whole reply owing it, and FileSession._channel replaces such a
+    channel before its next use.
     """
     reading = opcode in wire.READ_OPCODES
     listed = opcode in wire.LIST_OPCODES
@@ -721,21 +668,18 @@ def _exchange(session: FileSession, opcode: int, waves, view,
     m.logical_requests += 1
     for wave in waves:
         sent = []
-        for slot, local, runs in wave:
+        for slot, local, places in wave:
             total = local.total_length
             offset, trailing = (0, local) if listed else (local[0].offset, None)
             channel = session._channel(slot)
-            out = payload = None
-            if reading:
-                out = _pieces(runs, view) if landing is None else next(landing)
-            elif len(runs) == 1 and runs[0][2] == runs[0][3]:  # size == stride
-                payload = view[runs[0][1] : runs[0][1] + total]
-            else:
-                payload = bytearray(total)
-                _move(runs, view, payload, False)
+            views = [into[to][start:end] for to, start, end in places]
+            if len(views) == 1:
+                views = views[0]
+            elif not reading:
+                views = b"".join(views)
             rid = channel.send(opcode, session.handle, offset, total,
-                               trailing, payload)
-            sent.append((channel, rid, out, total))
+                               trailing, None if reading else views)
+            sent.append((channel, rid, views if reading else None, total))
         for channel, rid, out, total in sent:
             _counted(m, opcode, channel.receive(rid, out), total)
 
@@ -817,39 +761,25 @@ def access_multiple(
 def _sieve(session: FileSession, plan: AccessPlan, staged: memoryview,
            writing: bool) -> None:
     """Move the plan's bytes between each extent window that holds some and
-    `staged`, the plan's bytes in plan order, with the window's READ and,
-    for a write, its WRITE; the plan made their messages and landing once
-    (AccessPlan.sieving_requests), so no message is over the cap when the
-    first is sent.
-
-    A read lands each reply piece where its bytes belong (_landing): a
-    piece of plan bytes only straight in `staged`, a piece without any in
-    the discard area, and only a piece that mixes both in the scratch,
-    whose plan bytes then move into `staged` with one walk of their runs.
-    A write reads each window whole into the scratch, overlays it from
-    `staged` along the window's runs and writes it back whole. The session
-    keeps the scratch; each access takes it once, at the size it needs."""
-    requests, largest, area, discard = plan.sieving_requests(
-        SIEVING_WINDOW, session.striping)
+    `staged`, the plan's bytes in plan order. Each window takes its READ;
+    then, if it landed whole in the scratch, one walk of its runs moves its
+    plan bytes out of the scratch for a read, or into it for a write; then
+    a write's WRITE sends the scratch back. The plan made the windows'
+    messages and where they land once (AccessPlan.table, _sieving_table),
+    so no message is over the cap when the first is sent. The session
+    keeps the scratch; each access takes it once, at the size the table
+    needs, and none when that is 0."""
+    requests, largest, size = plan.table(_sieving_table, session.striping,
+                                         SIEVING_WINDOW, writing)
     _check_cap(largest)
-    if writing:
-        scratch = session._scratch_view(requests[0][0])  # the largest window
-        for extent, first, last, runs, waves, _places, _moved in requests:
-            window = scratch[:extent]
-            _exchange(session, wire.READ, waves, window)
-            _move(runs, window, staged[first:last], True)
-            _exchange(session, wire.WRITE, waves, window)
-        return
-    scratch = spill = None
-    if area + discard:
-        scratch = session._scratch_view(area + discard)
-        spill = scratch[area:]
-    for _extent, first, last, _runs, waves, places, moved in requests:
-        into = (staged[first:last], scratch, spill)
-        _exchange(session, wire.READ, waves, None,
-                  (_land(mine, into) for mine in places))
-        if moved:
-            _move(moved, scratch, into[0], False)
+    scratch = session._scratch_view(size) if size else None
+    into = (staged, scratch)
+    for waves, runs in requests:
+        _exchange(session, wire.READ, waves, into)
+        if runs:
+            _move(runs, scratch, staged, writing)
+        if writing:
+            _exchange(session, wire.WRITE, waves, into)
 
 
 def access_sieving_read(
@@ -905,25 +835,25 @@ def access_list(
     Logical requests count pre-striping batches of the plan's file regions;
     each involved daemon receives that batch's stripe fragments re-batched
     at the same limit per wire message. The messages are fanned out once
-    per plan, striping and limit (AccessPlan.list_requests) and reused by
-    every later access. A plan with a message over wire.MAX_PAYLOAD raises
-    ValueError before any message is sent. A plan whose memory is one
-    span moves straight to and from the buffer. Any other plan is staged
-    once per access (_plan_bytes), in plan order, which is the file order:
-    a write gathers it before the first batch, and a read scatters it after
-    the last, so a read that fails leaves the buffer untouched. Each batch
-    takes its slice of the staging.
+    per plan, striping and limit (AccessPlan.table, _list_table) and reused
+    by every later access. A plan with a message over wire.MAX_PAYLOAD
+    raises ValueError before any message is sent. A plan whose memory is
+    one span moves straight to and from the buffer. Any other plan is
+    staged once per access (_plan_bytes), in plan order, which is the file
+    order: a write gathers it before the first batch, and a read scatters
+    it after the last, so a read that fails leaves the buffer untouched.
+    Each message's places address the staging by plan position.
     """
     opcode = _direction_opcode(direction, wire.READ_LIST, wire.WRITE_LIST)
     view = memoryview(buffer).cast("B")
 
     def body():
-        requests, largest = plan.list_requests(session.striping,
-                                               wire.MAX_LIST_REGIONS)
+        requests, largest, _scratch = plan.table(
+            _list_table, session.striping, wire.MAX_LIST_REGIONS)
         _check_cap(largest)
         with _plan_bytes(plan, view, opcode == wire.READ_LIST) as staged:
-            for pos, n, waves in requests:
-                _exchange(session, opcode, waves, staged[pos : pos + n])
+            for waves, _runs in requests:
+                _exchange(session, opcode, waves, (staged,))
 
     return _accounted(session, plan.total_length, body)
 

@@ -142,12 +142,13 @@ class Run(NamedTuple):
     count: int
 
 
-def strided_runs(regions: Iterable[tuple[int, int]]) -> list[Run]:
+def strided_runs(regions: Iterable[tuple[int, int]], pos: int = 0) -> list[Run]:
     """Group a region list, in its order, into runs of equal-size regions
     whose offsets rise by a fixed stride > 0; a region that does not
-    continue the current run starts the next one."""
+    continue the current run starts the next one. The first region's bytes
+    sit at position `pos`."""
     runs = []
-    pos = start = offset = last = size = stride = count = 0
+    start = offset = last = size = stride = count = 0
     for off, n in regions:
         gap = off - last
         if n == size and gap > 0 and (gap == stride or count == 1):

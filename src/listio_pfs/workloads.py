@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import ClassVar, Iterator, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterator, Sequence
 
-from .client import AccessPlan
 from .errors import WorkloadError
 from .regions import MAX_LIST_REGIONS, Region, RegionList
+
+if TYPE_CHECKING:  # the daemons import this module through cli, not client
+    from .client import AccessPlan
 
 WORKLOADS = ("cyclic", "flash", "tiled")
 
@@ -62,6 +64,7 @@ class CyclicSpec:
 
 
 def gen_cyclic(spec: CyclicSpec) -> AccessPlan:
+    from .client import AccessPlan
     block = spec.block
     file_regions = RegionList._wrap(tuple(
         Region((i * spec.clients + spec.client_id) * block, block)
@@ -174,6 +177,7 @@ def flash_mem_regions(spec: FlashSpec) -> Iterator[Region]:
 
 
 def gen_flash(spec: FlashSpec) -> AccessPlan:
+    from .client import AccessPlan
     return AccessPlan(
         RegionList(flash_mem_regions(spec)),
         RegionList(flash_file_regions(spec)),
@@ -250,6 +254,7 @@ class TiledSpec:
 
 
 def gen_tiled(spec: TiledSpec) -> AccessPlan:
+    from .client import AccessPlan
     bpp = spec.bytes_per_pixel
     width = spec.width
     regions = RegionList._wrap(tuple(

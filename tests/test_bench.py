@@ -269,6 +269,13 @@ class TestCli:
                                 text=True, timeout=60, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_importing_cli_leaves_the_client_unloaded(self):
+        # The manager and the daemons run under cli; only clients need it.
+        probe = "import sys, listio_pfs.cli; print('listio_pfs.client' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "False"
+
     def test_bench_cli_runs_and_writes_csv(self, capsys):
         code = cli.main([
             "bench", "--workload", "cyclic", "--strategy", "multiple,list",

@@ -468,6 +468,42 @@ class TestSieving:
         # Only a staged plan's scatter moves bytes, along its memory runs.
         assert moves == [plan.mem_runs] * (2 if mem else 0)
 
+    @pytest.mark.parametrize("mem", [None, [(5000, 4352), (0, 4096)]],
+                             ids=["direct", "staged"])
+    def test_a_mixed_piece_lands_its_whole_window(self, cluster, unique_name,
+                                                  monkeypatch, mem):
+        # As above, but one region runs 256 B into the next stripe: that
+        # one piece mixes plan and gap bytes, so the whole window lands in
+        # the scratch and its runs move once. A plan of plan bytes only
+        # needs no scratch.
+        sp = StripingParams(0, 4, 512)
+        regions = [(k * 4 * 512, 2 * 512 + (256 if k == 1 else 0))
+                   for k in range(8)]
+        plan = make_plan(regions, mem)
+        image = random.Random(4).randbytes(32 * 512)
+        wanted = b"".join(image[off : off + n] for off, n in regions)
+        moves = []
+
+        def counted(runs, *args):
+            moves.append(runs)
+            return _move(runs, *args)
+
+        with prepared_file(cluster, unique_name, image, sp) as session:
+            buf = bytearray(max(off + n for off, n in plan.mem))
+            monkeypatch.setattr(client_module, "_move", counted)
+            m = access_sieving_read(session, plan, buf)
+            monkeypatch.undo()
+            assert plan.gather(buf) == wanted
+            assert (m.logical_requests, m.server_messages) == (1, 4)
+            assert len(session._scratch) == 30 * 512
+        # The window starts at file offset 0, so its runs are the plan's.
+        assert moves == [strided_runs(regions)] + [plan.mem_runs] * bool(mem)
+        with prepared_file(cluster, unique_name, image, sp) as session:
+            buf = bytearray(3 * 512)
+            access_sieving_read(session, make_plan([(256, 3 * 512)]), buf)
+            assert buf == image[256 : 256 + 3 * 512]
+            assert session._scratch is None
+
     def test_calls_share_the_session_scratch_until_close(self, cluster,
                                                          unique_name,
                                                          monkeypatch):
@@ -580,18 +616,23 @@ class TestSieving:
     def test_windows_are_made_once(self, cluster, unique_name, monkeypatch,
                                    writing):
         # Three 32 KiB windows, two of whose edges cut a region: the plan
-        # cuts them on its first access, and a second access reuses them
-        # and sends what the first sent.
+        # cuts and fans them out on its first access, and a second access
+        # reuses its table, makes none and sends what the first sent.
         monkeypatch.setattr(client_module, "SIEVING_WINDOW", 32768)
         regions = [(i * 1100, 900) for i in range(88)]
         plan = make_plan(regions)
-        windows = plan.windows(32768)
-        assert len(windows) == 3 and plan.windows(32768) is windows
+        calls = []
+        for name in ("fan_out", "_cut_windows"):
+            real = getattr(client_module, name)
+            monkeypatch.setattr(client_module, name,
+                                lambda *args, _real=real, _name=name: (
+                                    calls.append(_name) or _real(*args)))
         rng = random.Random(9)
         image = rng.randbytes(88 * 1100)
         with prepared_file(cluster, unique_name, image) as session:
-            counts = []
+            counts, tables = [], []
             for _access in range(2):
+                calls.clear()
                 stream = rng.randbytes(plan.total_length)
                 if writing:
                     m = access_sieving_write(session, plan, stream)
@@ -605,9 +646,15 @@ class TestSieving:
                     assert buf == b"".join(image[off : off + n]
                                            for off, n in regions)
                 counts.append((m.logical_requests, m.server_messages))
+                tables.append(plan.table(client_module._sieving_table,
+                                         session.striping, 32768, writing))
+                if _access:
+                    assert calls == []
+                else:
+                    assert sorted(calls) == ["_cut_windows"] + ["fan_out"] * 3
             assert counts[0] == counts[1]
             assert counts[0][0] == (6 if writing else 3)
-        assert plan.windows(32768) is windows
+            assert tables[1] is tables[0] and len(tables[0][0]) == 3
 
     @pytest.mark.parametrize("writing", [False, True])
     @pytest.mark.parametrize("mem,moves", [
@@ -1165,7 +1212,9 @@ class TestPlanValidation:
             ):
                 assert m.logical_requests == 0
                 assert m.useful_bytes == 0
-        assert plan.windows(32768) == []
+        for build, args in ((client_module._sieving_table, (32768, False)),
+                            (client_module._list_table, (64,))):
+            assert plan.table(build, SP, *args) == ([], 0, 0)
 
 
 @st.composite
@@ -1356,7 +1405,7 @@ class TestScatterGather:
         start, end = file[0][0], file[-1][0] + file[-1][1]
         size = data.draw(st.integers(1, 2 * (end - start)))
         image = data.draw(st.binary(min_size=end, max_size=end))
-        windows = list(plan.windows(size))
+        windows = list(client_module._cut_windows(plan.file, size))
         assert len(windows) == count_windows(file, size)
         expected = []
         for ws in range(start, end, size):
@@ -1369,22 +1418,23 @@ class TestScatterGather:
                     clips.append((pos + lo - off, lo, hi - lo))
                 pos += n
             if clips:
-                first, last = clips[0][0], clips[-1][0] + clips[-1][2]
-                expected.append((ws, we, first, last, clips))
-        assert [window[:4] for window in windows] == [
-            window[:4] for window in expected]
-        # Each window's cut runs, counted from its first plan byte and from
+                expected.append((ws, we, clips))
+        assert [window[:2] for window in windows] == [
+            window[:2] for window in expected]
+        # Each window's cut runs, at their plan positions and counted from
         # its start, move exactly its plan bytes.
-        for (ws, we, first, last, runs), (*_, clips) in zip(windows, expected):
-            taken = bytearray(last - first)
+        total = plan.total_length
+        for (ws, we, runs), (*_, clips) in zip(windows, expected):
+            taken, want = bytearray(total), bytearray(total)
             _move(runs, image[ws:we], taken, False)
-            assert taken == b"".join(image[lo : lo + n] for _p, lo, n in clips)
-            payload = data.draw(st.binary(min_size=last - first,
-                                          max_size=last - first))
+            for p, lo, n in clips:
+                want[p : p + n] = image[lo : lo + n]
+            assert taken == want
+            payload = data.draw(st.binary(min_size=total, max_size=total))
             got, want = bytearray(image[ws:we]), bytearray(image[ws:we])
             _move(runs, got, payload, True)
             for p, lo, n in clips:
-                want[lo - ws : lo - ws + n] = payload[p - first : p - first + n]
+                want[lo - ws : lo - ws + n] = payload[p : p + n]
             assert got == want
 
     @given(mem=memory_lists(), data=st.data())
@@ -1404,20 +1454,20 @@ class TestScatterGather:
         plan.scatter(got, payload)
         reference_scatter(mem, want, payload)
         assert got == want
-        # Runs [first, last] whole, their positions counted from the first
-        # one's and their offsets from `base`, as a sieving window's are.
+        # Runs [first, last] whole, their offsets counted from `base`, as a
+        # sieving window's are.
         base = data.draw(st.integers(0, min(off for off, _n in mem)))
         first = data.draw(st.integers(0, len(runs) - 1))
         last = data.draw(st.integers(first, len(runs) - 1))
         pos = runs[first].pos
         end = runs[last].pos + runs[last].size * runs[last].count
         part = runs[first : last + 1]
-        cut = [(p - pos, offset - base, *shape) for p, offset, *shape in part]
-        taken = bytearray(end - pos)
+        cut = [(p, offset - base, *shape) for p, offset, *shape in part]
+        taken = bytearray(total)
         _move(cut, image[base:], taken, False)
-        assert taken == flat[pos:end]
+        assert taken[pos:end] == flat[pos:end]
         got, want = bytearray(image[base:]), bytearray(image)
-        _move(cut, got, payload[pos:end], True)
+        _move(cut, got, payload, True)
         reference_scatter([(offset + k * stride, size)
                            for _p, offset, size, stride, count in part
                            for k in range(count)], want, payload[pos:end])
