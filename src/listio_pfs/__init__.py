@@ -22,7 +22,8 @@ from .regions import (
 from .server import IoDaemon, Manager
 
 # The client's names load it on first use, so that the manager and the
-# daemons, which import this package, never compile it.
+# daemons, which import this package, never compile it. A name found is
+# kept in the package, so later lookups do not come back here.
 _CLIENT_NAMES = frozenset({
     "AccessPlan", "ClientMetrics", "FileSession", "access_list",
     "access_multiple", "access_sieving_read", "access_sieving_write",
@@ -34,8 +35,10 @@ _CLIENT_NAMES = frozenset({
 def __getattr__(name: str):
     if name in _CLIENT_NAMES:
         from . import client
-        return getattr(client, name)
+        value = globals()[name] = getattr(client, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AccessPlan",
