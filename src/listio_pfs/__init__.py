@@ -22,8 +22,7 @@ from .regions import (
 from .server import IoDaemon, Manager
 
 # The client's names load it on first use, so that the manager and the
-# daemons, which import this package, never compile it. A name found is
-# kept in the package, so later lookups do not come back here.
+# daemons, which import this package, never compile it.
 _CLIENT_NAMES = frozenset({
     "AccessPlan", "ClientMetrics", "FileSession", "access_list",
     "access_multiple", "access_sieving_read", "access_sieving_write",
@@ -35,17 +34,13 @@ _CLIENT_NAMES = frozenset({
 def __getattr__(name: str):
     if name in _CLIENT_NAMES:
         from . import client
-        value = globals()[name] = getattr(client, name)
-        return value
+        return getattr(client, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AccessPlan",
+__all__ = sorted([
     "BenchError",
-    "ClientMetrics",
     "ExistsError",
-    "FileSession",
     "IoDaemon",
     "Manager",
     "NotFoundError",
@@ -57,17 +52,8 @@ __all__ = [
     "StripingParams",
     "TokenError",
     "WorkloadError",
-    "access_list",
-    "access_multiple",
-    "access_sieving_read",
-    "access_sieving_write",
     "batch_regions",
     "extent",
-    "pvfs_create",
-    "pvfs_open",
-    "pvfs_read",
-    "pvfs_read_list",
-    "pvfs_write",
-    "pvfs_write_list",
     "stripe_location",
-]
+    *_CLIENT_NAMES,
+])

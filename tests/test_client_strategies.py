@@ -1465,7 +1465,8 @@ class TestScatterGather:
         cut = [(p, offset - base, *shape) for p, offset, *shape in part]
         taken = bytearray(total)
         _move(cut, image[base:], taken, False)
-        assert taken[pos:end] == flat[pos:end]
+        # The whole buffer: bytes outside the runs' positions stay unwritten.
+        assert taken == bytes(pos) + flat[pos:end] + bytes(total - end)
         got, want = bytearray(image[base:]), bytearray(image)
         _move(cut, got, payload, True)
         reference_scatter([(offset + k * stride, size)
