@@ -19,11 +19,8 @@ from dataclasses import dataclass, field
 
 from . import workloads
 from .client import (
+    ACCESSES,
     ClientMetrics,
-    access_list,
-    access_multiple,
-    access_sieving_read,
-    access_sieving_write,
     pvfs_create,
     pvfs_open,
     pvfs_read,
@@ -33,16 +30,9 @@ from .errors import BenchError
 from .regions import StripingParams, inverse_stripe_location
 from .server import IoDaemon, Manager
 
-
-def _sieve(session, plan, buffer, direction: str) -> ClientMetrics:
-    """Sieving reads, or writes read-modify-write under the per-file token."""
-    if direction == "read":
-        return access_sieving_read(session, plan, buffer)
-    return access_sieving_write(session, plan, buffer)
-
-
-# Each strategy is one call (session, plan, buffer, direction).
-STRATEGIES = {"multiple": access_multiple, "sieving": _sieve, "list": access_list}
+# The strategy names, in the order a matrix runs them; each is carried out
+# by its ACCESSES entry for the matrix's direction.
+STRATEGIES = tuple(dict.fromkeys(strategy for strategy, _direction in ACCESSES))
 
 CSV_COLUMNS = (
     "workload,strategy,clients,accesses,rep,logical_requests,server_messages,"
@@ -198,7 +188,7 @@ def build_specs(config: BenchConfig, accesses: int | None) -> list:
 
 
 def _buffer_length(plan) -> int:
-    return max((r.end for r in plan.mem), default=0)
+    return max((offset + length for offset, length in plan.mem), default=0)
 
 
 def _run_clients_once(
@@ -216,9 +206,8 @@ def _run_clients_once(
             session = pvfs_open(manager_addr, name)
             try:
                 barrier.wait()
-                results[i] = STRATEGIES[strategy](
-                    session, plans[i], buffers[i], direction
-                )
+                results[i] = ACCESSES[strategy, direction](
+                    session, plans[i], buffers[i])
             finally:
                 session.close()
         except Exception as exc:
@@ -280,7 +269,8 @@ def expected_read_buffer(plan, image, buffer_len: int) -> bytearray:
     """Flat-oracle extraction of the plan's file bytes into a fresh buffer."""
     buf = bytearray(buffer_len)
     view = memoryview(image)
-    plan.scatter(buf, b"".join(view[r.offset : r.end] for r in plan.file))
+    plan.scatter(buf, b"".join(view[offset : offset + length]
+                               for offset, length in plan.file))
     return buf
 
 

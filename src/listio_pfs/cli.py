@@ -8,7 +8,7 @@ import threading
 
 from . import workloads
 from .errors import PfsError
-from .regions import RegionList, batch_regions, count_transfer_pieces
+from .regions import batch_regions, count_transfer_pieces
 from .server import IoDaemon, Manager, parse_addr
 
 
@@ -110,15 +110,13 @@ def _cmd_verify_counts() -> int:
     """Print the analytic counts; exit 1 if the planner disagrees with one."""
     flash = workloads.FlashSpec(procs=1, proc_id=0)
     tiled = workloads.TiledSpec(tile_x=0, tile_y=0)
-    plan = workloads.gen_tiled(tiled)
     agree = True
-    for spec, counts, mem, file in (
-        (flash, workloads.flash_counts(flash), workloads.flash_mem_regions(flash),
-         RegionList(workloads.flash_file_regions(flash))),
-        (tiled, workloads.tiled_counts(tiled), plan.mem, plan.file),
-    ):
+    for spec, counts in ((flash, workloads.flash_counts(flash)),
+                         (tiled, workloads.tiled_counts(tiled))):
+        plan = spec.generate()
+        file = plan.file
         planned = {"file_regions": len(file), "plan_bytes": file.total_length,
-                   "multiple_requests": count_transfer_pieces(mem, file),
+                   "multiple_requests": count_transfer_pieces(plan.mem, file),
                    "list_requests": len(batch_regions(file))}
         print(spec)
         for key, value in counts.items():

@@ -4,9 +4,12 @@ A FileSession talks to the manager for metadata and the token, and directly
 to the I/O daemons for data. Every data request goes through one executor:
 _contiguous takes a READ or WRITE at a file offset and sends it as one
 message when it lies in one stripe, else fans it out per server with
-regions.fan_out; _exchange sends a fanned-out request's messages in waves,
-moves the bytes, checks reply lengths and counts the traffic. The three
-strategies differ only in the logical requests they hand it:
+regions.fan_out and cuts each message's views straight from its runs;
+_exchange carries out a request of a plan's table. Both hand their
+messages to _wave, which sends a wave of them, moves the bytes, checks
+reply lengths and counts the traffic. The three strategies differ only in
+the logical requests they hand it, and ACCESSES names the call that
+carries out each strategy in each direction:
 
 * multiple I/O    - one contiguous READ/WRITE per transfer piece, straight
                     from the piece's memory span;
@@ -54,7 +57,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import wire
 from .errors import (
@@ -319,8 +322,8 @@ def _sieving_table(file: RegionList, sp: StripingParams, size: int,
     requests, largest, scratch = [], 0, 0
     for ws, we, runs in _cut_windows(file, size):
         messages = fan_out(ws, we - ws, sp)
-        largest = max(largest, max(message.regions.total_length
-                                   for message in messages))
+        largest = max(largest, max(length for _slot, (_offset, length), _runs
+                                   in messages))
         placed = _placed(messages, 1)
         landed = None if writing else _in_place(placed, runs)
         if landed is None:
@@ -608,13 +611,28 @@ def _placed(messages, to: int = 0, shift: int = 0) -> list:
     return placed
 
 
+def _views(view, runs) -> list:
+    """The slices of `view` that strided runs take, one per back-to-back
+    stretch, in run order: a contiguous message's bytes, cut straight from
+    the request's view."""
+    views = []
+    for _pos, at, size, stride, count in runs:
+        if stride == size:
+            views.append(view[at : at + size * count])
+        else:
+            views += [view[a : a + size]
+                      for a in range(at, at + count * stride, stride)]
+    return views
+
+
 def _contiguous(session: FileSession, opcode: int, offset: int, view) -> None:
     """One READ or WRITE of the view's bytes at file `offset`.
 
     Inside one stripe it is one message, sent from the view or received
     into it, with no fan-out. Otherwise it is fanned out per daemon
-    (regions.fan_out) and carried out by _exchange in one wave, since it
-    involves each daemon once. A request with a message over
+    (regions.fan_out), each message's views are cut from the view by its
+    runs (_views), and the messages go out in one wave (_wave), since the
+    request involves each daemon once. A request with a message over
     wire.MAX_PAYLOAD raises ValueError before any message is sent.
     """
     length = len(view)
@@ -622,15 +640,16 @@ def _contiguous(session: FileSession, opcode: int, offset: int, view) -> None:
         return
     sp = session.striping
     k, within = divmod(offset, sp.ssize)
+    m = session.metrics
     if within + length > sp.ssize:
         messages = fan_out(offset, length, sp)
         if length > wire.MAX_PAYLOAD:  # else no message can be over the cap
-            _check_cap(max(message.regions.total_length
-                           for message in messages))
-        _exchange(session, opcode, (_placed(messages),), (view,))
+            _check_cap(max(n for _slot, (_at, n), _runs in messages))
+        m.logical_requests += 1
+        _wave(session, opcode, [(slot, span, _views(view, runs))
+                                for slot, span, runs in messages])
         return
     _check_cap(length)
-    m = session.metrics
     m.logical_requests += 1
     reading = opcode == wire.READ
     channel = session._channel((sp.base + k) % sp.pcount)
@@ -647,41 +666,53 @@ def _check_cap(largest: int) -> None:
 
 
 def _exchange(session: FileSession, opcode: int, waves, into) -> None:
-    """Carry out one fanned-out logical request against the daemons.
+    """Carry out one logical request of a plan's table (AccessPlan.table)
+    against the daemons.
 
     `waves` are its daemon messages, (slot, local regions, places) as
-    _placed makes them, grouped so that no wave holds two for one daemon;
-    a plan's come ready-made from its table (AccessPlan.table). Each place
-    (to, start, end) is the slice into[to][start:end] of `into`, the
-    access's views, and a message's places hold its bytes in wire order.
-    A read's reply is received straight into them; a write sends its one
-    place as it is, or its places joined. Each wave is sent to all its
-    daemons before any reply is awaited. This and the one-stripe path of
-    _contiguous are the only code that sends data requests to daemons and
-    that counts them. A failure leaves each channel that did not return
-    its whole reply owing it, and FileSession._channel replaces such a
-    channel before its next use.
+    _placed makes them, grouped so that no wave holds two for one daemon.
+    Each place (to, start, end) is the slice into[to][start:end] of
+    `into`, the access's views, and a message's places hold its bytes in
+    wire order. Each wave goes out through _wave.
+    """
+    session.metrics.logical_requests += 1
+    for wave in waves:
+        _wave(session, opcode, [
+            (slot, local, [into[to][start:end] for to, start, end in places])
+            for slot, local, places in wave])
+
+
+def _wave(session: FileSession, opcode: int, messages) -> None:
+    """Send one wave of daemon messages, each (slot, local regions, views),
+    to all its daemons before any reply is awaited. A list message's local
+    regions are a RegionList, carried as its region table; any other
+    message's are its (offset, length) span. A read's reply is received
+    straight into its views; a write sends its one view as it is, or its
+    views joined. This and the one-stripe path of _contiguous are the only
+    code that sends data requests to daemons and that counts them. A
+    failure leaves each channel that did not return its whole reply owing
+    it, and FileSession._channel replaces such a channel before its next
+    use.
     """
     reading = opcode in wire.READ_OPCODES
     listed = opcode in wire.LIST_OPCODES
     m = session.metrics
-    m.logical_requests += 1
-    for wave in waves:
-        sent = []
-        for slot, local, places in wave:
-            total = local.total_length
-            offset, trailing = (0, local) if listed else (local[0].offset, None)
-            channel = session._channel(slot)
-            views = [into[to][start:end] for to, start, end in places]
-            if len(views) == 1:
-                views = views[0]
-            elif not reading:
-                views = b"".join(views)
-            rid = channel.send(opcode, session.handle, offset, total,
-                               trailing, None if reading else views)
-            sent.append((channel, rid, views if reading else None, total))
-        for channel, rid, out, total in sent:
-            _counted(m, opcode, channel.receive(rid, out), total)
+    sent = []
+    for slot, local, views in messages:
+        if listed:
+            offset, total, trailing = 0, local.total_length, local
+        else:
+            (offset, total), trailing = local, None
+        channel = session._channel(slot)
+        if len(views) == 1:
+            views = views[0]
+        elif not reading:
+            views = b"".join(views)
+        rid = channel.send(opcode, session.handle, offset, total,
+                           trailing, None if reading else views)
+        sent.append((channel, rid, views if reading else None, total))
+    for channel, rid, out, total in sent:
+        _counted(m, opcode, channel.receive(rid, out), total)
 
 
 def _counted(m: ClientMetrics, opcode: int, got, total: int) -> None:
@@ -714,14 +745,6 @@ def _accounted(session: FileSession, useful_bytes: int, body, *args) -> ClientMe
     return call
 
 
-def _direction_opcode(direction: str, read_op: int, write_op: int) -> int:
-    if direction == "read":
-        return read_op
-    if direction == "write":
-        return write_op
-    raise ValueError(f"direction must be 'read' or 'write', got {direction!r}")
-
-
 # -- contiguous access -------------------------------------------------------
 
 def pvfs_read(session: FileSession, file_offset: int, out) -> int:
@@ -742,11 +765,9 @@ def pvfs_write(session: FileSession, file_offset: int, data) -> int:
 
 # -- noncontiguous strategies ----------------------------------------------
 
-def access_multiple(
-    session: FileSession, plan: AccessPlan, buffer, direction: str
-) -> ClientMetrics:
-    """One contiguous request per transfer piece, in plan order."""
-    opcode = _direction_opcode(direction, wire.READ, wire.WRITE)
+def _multiple(session: FileSession, plan: AccessPlan, buffer,
+              opcode: int) -> ClientMetrics:
+    """One contiguous READ or WRITE per transfer piece, in plan order."""
     view = memoryview(buffer).cast("B")
 
     def body():
@@ -827,6 +848,51 @@ def access_sieving_write(
     return _accounted(session, plan.total_length, body)
 
 
+def _list(session: FileSession, plan: AccessPlan, buffer,
+          opcode: int) -> ClientMetrics:
+    """One READ_LIST or WRITE_LIST per batch of the plan's list table."""
+    view = memoryview(buffer).cast("B")
+
+    def body():
+        requests, largest, _scratch = plan.table(
+            _list_table, session.striping, wire.MAX_LIST_REGIONS)
+        _check_cap(largest)
+        with _plan_bytes(plan, view, opcode == wire.READ_LIST) as staged:
+            for waves, _runs in requests:
+                _exchange(session, opcode, waves, (staged,))
+
+    return _accounted(session, plan.total_length, body)
+
+
+# Each strategy and direction: the access that carries it out, a call
+# (session, plan, buffer).
+ACCESSES = {
+    ("multiple", "read"): partial(_multiple, opcode=wire.READ),
+    ("multiple", "write"): partial(_multiple, opcode=wire.WRITE),
+    ("sieving", "read"): access_sieving_read,
+    ("sieving", "write"): access_sieving_write,
+    ("list", "read"): partial(_list, opcode=wire.READ_LIST),
+    ("list", "write"): partial(_list, opcode=wire.WRITE_LIST),
+}
+
+
+def _access(strategy: str, direction: str):
+    """The ACCESSES entry of a strategy in `direction`; ValueError unless
+    that is 'read' or 'write'."""
+    call = ACCESSES.get((strategy, direction))
+    if call is None:
+        raise ValueError(
+            f"direction must be 'read' or 'write', got {direction!r}")
+    return call
+
+
+def access_multiple(
+    session: FileSession, plan: AccessPlan, buffer, direction: str
+) -> ClientMetrics:
+    """One contiguous request per transfer piece, in plan order."""
+    return _access("multiple", direction)(session, plan, buffer)
+
+
 def access_list(
     session: FileSession, plan: AccessPlan, buffer, direction: str
 ) -> ClientMetrics:
@@ -844,18 +910,7 @@ def access_list(
     it after the last, so a read that fails leaves the buffer untouched.
     Each message's places address the staging by plan position.
     """
-    opcode = _direction_opcode(direction, wire.READ_LIST, wire.WRITE_LIST)
-    view = memoryview(buffer).cast("B")
-
-    def body():
-        requests, largest, _scratch = plan.table(
-            _list_table, session.striping, wire.MAX_LIST_REGIONS)
-        _check_cap(largest)
-        with _plan_bytes(plan, view, opcode == wire.READ_LIST) as staged:
-            for waves, _runs in requests:
-                _exchange(session, opcode, waves, (staged,))
-
-    return _accounted(session, plan.total_length, body)
+    return _access("list", direction)(session, plan, buffer)
 
 
 def pvfs_read_list(

@@ -5,14 +5,20 @@ stripe mapping, fanning a request's file regions out as per-server
 messages, pairing memory and file region lists into transfer pieces,
 grouping a region list into strided runs, batching and extents. All
 offsets and lengths are byte counts that must fit in 64 bits.
+
+A RegionList is packed: one array('Q') of offset, length pairs, 16 bytes a
+region, laid out as the wire's region table is (PROTOCOL.md), so a list
+request carries its table's bytes as they are. Iterating a RegionList
+yields plain (offset, length) tuples; indexing one yields a Region.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
-from itertools import repeat
-from operator import add
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, islice, repeat
+from operator import add, le
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PlanError
 
@@ -49,12 +55,16 @@ class StripingParams(NamedTuple):
         return self
 
 
-def _checked_total(offsets: Sequence[int], lengths: Sequence[int]) -> int:
-    """Byte total of the regions (offsets[i], lengths[i]); PlanError naming
-    the first one that is empty or leaves the 64-bit byte space. Whole
-    columns are checked at once; only a failure walks them one by one."""
+def _checked_total(flat: list[int]) -> int:
+    """Byte total of the regions of `flat`, offset, length pairs laid end
+    to end; PlanError naming the first one that is empty or leaves the
+    64-bit byte space. Whole columns are checked at once, region ends only
+    when the largest offset and length could make one too large; only a
+    failure walks the regions one by one."""
+    offsets, lengths = flat[0::2], flat[1::2]
     if lengths and (min(lengths) <= 0 or min(offsets) < 0
-                    or max(map(add, offsets, lengths)) > U64_MAX):
+                    or (max(offsets) + max(lengths) > U64_MAX
+                        and max(map(add, offsets, lengths)) > U64_MAX)):
         for r in map(Region, offsets, lengths):
             if r.length <= 0:
                 raise PlanError(f"region {r!r} has non-positive length")
@@ -64,67 +74,80 @@ def _checked_total(offsets: Sequence[int], lengths: Sequence[int]) -> int:
 
 
 class RegionList:
-    """Immutable sequence of nonempty regions with a cached byte total."""
+    """Immutable sequence of nonempty regions with a cached byte total.
 
-    __slots__ = ("_regions", "total_length")
+    `table` holds the regions as one array('Q') of offset, length pairs in
+    order; it is not to be changed. Iteration yields (offset, length)
+    tuples, indexing a Region, and slicing a RegionList.
+    """
 
-    def __init__(self, regions: Iterable[Region | tuple[int, int]] = ()):
-        regs = tuple(
-            r if type(r) is Region else Region(r[0], r[1]) for r in regions
-        )
-        self.total_length = _checked_total([r[0] for r in regs],
-                                           [r[1] for r in regs])
-        self._regions = regs
+    __slots__ = ("table", "total_length")
 
-    @classmethod
-    def from_columns(cls, offsets: Sequence[int],
-                     lengths: Sequence[int]) -> "RegionList":
-        """The regions (offsets[i], lengths[i]), checked as the constructor
-        checks its regions."""
-        total = _checked_total(offsets, lengths)
-        # tuple.__new__ builds each Region without namedtuple's Python __new__.
-        return cls._wrap(
-            tuple(map(tuple.__new__, repeat(Region), zip(offsets, lengths))),
-            total)
+    def __init__(self, regions: Iterable[tuple[int, int]] = ()):
+        flat = list(chain.from_iterable(regions))
+        self.total_length = _checked_total(flat)
+        self.table = array("Q", flat)
 
     @classmethod
-    def _wrap(cls, regions: tuple[Region, ...], total: int | None = None) -> "RegionList":
-        # Internal constructor for regions already known to be valid.
+    def from_table(cls, table: array) -> "RegionList":
+        """The regions of `table`, an array('Q') of offset, length pairs,
+        which the list keeps; checked as the constructor checks its
+        regions."""
+        return cls._wrap(table, _checked_total(table.tolist()))
+
+    @classmethod
+    def _wrap(cls, table: array, total: int | None = None) -> "RegionList":
+        # Internal constructor for a table already known to be valid.
         obj = cls.__new__(cls)
-        obj._regions = regions
-        obj.total_length = sum(r.length for r in regions) if total is None else total
+        obj.table = table
+        obj.total_length = sum(islice(table, 1, None, 2)) if total is None else total
         return obj
 
     def __len__(self) -> int:
-        return len(self._regions)
+        return len(self.table) >> 1
 
-    def __iter__(self) -> Iterator[Region]:
-        return iter(self._regions)
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        it = iter(self.table)
+        return zip(it, it)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return RegionList._wrap(self._regions[index])
-        return self._regions[index]
+            start, stop, step = index.indices(len(self))
+            if step == 1:
+                return RegionList._wrap(self.table[2 * start : 2 * stop])
+            return RegionList(list(self)[index])
+        t = self.table
+        # tuple.__new__ skips namedtuple's Python-level __new__.
+        return tuple.__new__(Region, (t[2 * index], t[2 * index + 1]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RegionList):
-            return self._regions == other._regions
+            return self.table == other.table
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self._regions)
-
     def __repr__(self) -> str:
-        return f"RegionList({list(self._regions)!r})"
+        return f"RegionList({list(self)!r})"
 
     def is_sorted_disjoint(self) -> bool:
-        """True when regions ascend by offset and never overlap."""
-        prev_end = -1
-        for r in self._regions:
-            if r.offset < prev_end:
-                return False
-            prev_end = r.end
-        return True
+        """True when regions ascend by offset and never overlap: each one
+        ends at or before the next one's offset."""
+        t = self.table
+        return all(map(le, map(add, islice(t, 0, None, 2), islice(t, 1, None, 2)),
+                       islice(t, 2, None, 2)))
+
+
+def regions_at(offsets: Iterable[int], size: int) -> RegionList:
+    """Regions of `size` bytes at each of `offsets`, in their order, packed
+    as they come, with no Python object kept per region."""
+    try:
+        table = array("Q", chain.from_iterable(zip(offsets, repeat(size))))
+    except OverflowError:
+        table = None
+    if table is None or table and not (
+            0 < size <= U64_MAX - max(islice(table, 0, None, 2))):
+        raise PlanError(f"regions of {size} bytes: empty, or not all inside "
+                        f"the 64-bit byte space")
+    return RegionList._wrap(table, size * (len(table) >> 1))
 
 
 class Run(NamedTuple):
@@ -197,14 +220,15 @@ def stripe_chunks(
 class Message(NamedTuple):
     """One daemon request of a fanned-out logical request.
 
-    `regions` are server-local and in wire order. `runs` map the message's
-    bytes to the logical request's file-order bytes as strided runs
-    `(pos, offset, size, stride, count)`, like Run: `pos` is a position in
-    the message, `offset` one in the request.
+    `regions` are server-local and in wire order: a RegionList for a list
+    message, or one Region, the span of a contiguous message. `runs` map
+    the message's bytes to the logical request's file-order bytes as
+    strided runs `(pos, offset, size, stride, count)`, like Run: `pos` is a
+    position in the message, `offset` one in the request.
     """
 
     slot: int
-    regions: RegionList
+    regions: RegionList | Region
     runs: list[tuple[int, int, int, int, int]]
 
 
@@ -220,32 +244,32 @@ def split_by_server(
     slot order.
     """
     ssize, pcount, base = sp.ssize, sp.pcount, sp.base
-    # slot -> its fragments' local regions, and (request position, length)
-    # of each
-    by_slot: dict[int, tuple[list[Region], list[tuple[int, int]]]] = (
-        defaultdict(lambda: ([], [])))
+    # slot -> its fragments' local regions, packed, and (request position,
+    # length) of each
+    by_slot: dict[int, tuple[array, list[tuple[int, int]]]] = (
+        defaultdict(lambda: (array("Q"), [])))
     pos = 0
     for offset, length in file_regions:
         k, within = divmod(offset, ssize)
         if within + length <= ssize:  # inside one stripe: one fragment
-            fragments = by_slot[(base + k) % pcount]
-            # tuple.__new__ skips namedtuple's Python-level __new__.
-            fragments[0].append(
-                tuple.__new__(Region, (k // pcount * ssize + within, length)))
-            fragments[1].append((pos, length))
+            local, spans = by_slot[(base + k) % pcount]
+            local.append(k // pcount * ssize + within)
+            local.append(length)
+            spans.append((pos, length))
         else:
-            for slot, local, file_offset, take in stripe_chunks(offset, length, sp):
-                fragments = by_slot[slot]
-                fragments[0].append(Region(local, take))
-                fragments[1].append((pos + file_offset - offset, take))
+            for slot, at, file_offset, take in stripe_chunks(offset, length, sp):
+                local, spans = by_slot[slot]
+                local.append(at)
+                local.append(take)
+                spans.append((pos + file_offset - offset, take))
         pos += length
     messages = []
     for slot in sorted(by_slot):
         local, spans = by_slot[slot]
-        for i in range(0, len(local), limit):
+        for i in range(0, len(spans), limit):
             messages.append(Message(
                 slot,
-                RegionList._wrap(tuple(local[i : i + limit])),
+                RegionList._wrap(local[2 * i : 2 * (i + limit)]),
                 strided_runs(spans[i : i + limit]),
             ))
     return messages
@@ -257,7 +281,7 @@ def fan_out(offset: int, length: int, sp: StripingParams) -> list[Message]:
     a single local span, whose runs take its bytes from the request's."""
     ssize, pcount = sp.ssize, sp.pcount
     if pcount == 1:  # one server, whose local file is the whole file
-        return [Message(0, RegionList._wrap((Region(offset, length),), length),
+        return [Message(0, tuple.__new__(Region, (offset, length)),
                         [(0, 0, length, length, 1)])]
     k0 = offset // ssize
     k1 = (offset + length - 1) // ssize
@@ -286,21 +310,21 @@ def fan_out(offset: int, length: int, sp: StripingParams) -> list[Message]:
             runs.append((pos, first, ssize, step if count > 1 else ssize, count))
         if last < hi and lo < hi:  # a partial last stripe, not the first
             runs.append((size - (tail - hi), hi, tail - hi, tail - hi, 1))
+        # tuple.__new__ skips namedtuple's Python-level __new__.
         messages.append(Message(
             (sp.base + k) % pcount,
-            RegionList._wrap((Region((k // pcount) * ssize + head - lo, size),),
-                             size),
+            tuple.__new__(Region, ((k // pcount) * ssize + head - lo, size)),
             runs))
     return messages
 
 
 def server_spans(offset: int, length: int, sp: StripingParams) -> dict[int, Region]:
     """Per-server local span covering a non-empty contiguous file range."""
-    return {m.slot: m.regions[0] for m in fan_out(offset, length, sp)}
+    return {m.slot: m.regions for m in fan_out(offset, length, sp)}
 
 
 def iter_transfer_pieces(
-    mem: Iterable[Region], file: Iterable[Region]
+    mem: Iterable[tuple[int, int]], file: Iterable[tuple[int, int]]
 ) -> Iterator[tuple[int, int, int]]:
     """Walk two region lists in lockstep, emitting their overlap pieces as
     (mem_offset, file_offset, length): spans contiguous in both lists.
@@ -309,23 +333,23 @@ def iter_transfer_pieces(
     entries are never merged, so piece count reflects list granularity.
     Raises PlanError when the lists cover different byte totals.
     """
-    mem_it = iter(mem)
     file_it = iter(file)
-    m = next(mem_it, None)
-    f = next(file_it, None)
-    m_used = f_used = 0
-    while m is not None and f is not None:
-        take = min(m.length - m_used, f.length - f_used)
-        yield m.offset + m_used, f.offset + f_used, take
-        m_used += take
-        f_used += take
-        if m_used == m.length:
-            m = next(mem_it, None)
-            m_used = 0
-        if f_used == f.length:
-            f = next(file_it, None)
-            f_used = 0
-    if m is not None or f is not None:
+    f_offset = f_left = 0
+    for m_offset, m_left in mem:
+        while m_left:
+            if not f_left:
+                f = next(file_it, None)
+                if f is None:
+                    raise PlanError("memory and file lists cover different "
+                                    "byte totals")
+                f_offset, f_left = f
+            take = m_left if m_left < f_left else f_left
+            yield m_offset, f_offset, take
+            m_offset += take
+            m_left -= take
+            f_offset += take
+            f_left -= take
+    if f_left or next(file_it, None) is not None:
         raise PlanError("memory and file lists cover different byte totals")
 
 
@@ -348,9 +372,7 @@ def batch_regions(
 
 def extent(file_regions: RegionList) -> Region:
     """Minimal region covering a sorted, non-empty region list."""
-    if len(file_regions) == 0:
+    t = file_regions.table
+    if not t:
         raise PlanError("extent of an empty region list")
-    first = file_regions[0]
-    last = file_regions[len(file_regions) - 1]
-    return Region(first.offset, last.end - first.offset)
-
+    return Region(t[0], t[-2] + t[-1] - t[0])

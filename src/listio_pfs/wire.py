@@ -4,13 +4,20 @@ Every message starts with a fixed 64-byte little-endian header. List
 operations append 16-byte (offset, length) region entries; writes and
 metadata operations append a data payload. The full byte layout is
 documented in PROTOCOL.md at the repository root.
+
+A RegionList already holds its regions as the region table's 64-bit
+offset, length pairs, so a list request sends the table's bytes as they
+are (byteswapped on a big-endian host), and a received table becomes a
+RegionList with one frombytes call and a check of its whole columns.
+The bytes on the wire are the same as when each entry was packed alone.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from itertools import chain
+import sys
+from array import array
 from typing import NamedTuple
 
 from .errors import (
@@ -91,10 +98,8 @@ ERROR_STATUS = (
 )
 
 _HEADER = struct.Struct("<IHHQQQQII16x")
-# The region table of a list request of n regions, packed in one call:
-# offset and length of each region in turn.
-_REGION_TABLE = tuple(struct.Struct(f"<{2 * n}Q")
-                      for n in range(MAX_LIST_REGIONS + 1))
+# A RegionList's table is in native byte order; the wire's is little-endian.
+_BIG_ENDIAN = sys.byteorder == "big"
 _RESPONSE = struct.Struct("<QIQ")
 _CREATE_FIXED = struct.Struct("<IIQ")
 _META_FIXED = struct.Struct("<QIIQQI")
@@ -147,7 +152,11 @@ def encode_request(header: IoRequestHeader, trailing: RegionList | None = None) 
     )
     if not count:
         return head
-    return head + _REGION_TABLE[count].pack(*chain.from_iterable(trailing))
+    table = trailing.table
+    if _BIG_ENDIAN:
+        table = array("Q", table)
+        table.byteswap()
+    return head + table.tobytes()
 
 
 def decode_header(data) -> IoRequestHeader:
@@ -189,9 +198,12 @@ def decode_request(
         raise ProtocolError(
             f"truncated trailing regions: need {need} bytes, have {len(data)}"
         )
-    table = _REGION_TABLE[header.region_count].unpack_from(data, HEADER_SIZE)
+    table = array("Q")
+    table.frombytes(memoryview(data)[HEADER_SIZE:need])
+    if _BIG_ENDIAN:
+        table.byteswap()
     try:
-        trailing = RegionList.from_columns(table[0::2], table[1::2])
+        trailing = RegionList.from_table(table)
     except PlanError as exc:
         raise ProtocolError(f"invalid trailing region: {exc}") from exc
     if header.length != trailing.total_length:

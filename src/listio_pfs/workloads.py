@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Iterator, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from .errors import WorkloadError
-from .regions import MAX_LIST_REGIONS, Region, RegionList
+from .regions import MAX_LIST_REGIONS, RegionList, regions_at
 
 if TYPE_CHECKING:  # the daemons import this module through cli, not client
     from .client import AccessPlan
@@ -66,11 +67,10 @@ class CyclicSpec:
 def gen_cyclic(spec: CyclicSpec) -> AccessPlan:
     from .client import AccessPlan
     block = spec.block
-    file_regions = RegionList._wrap(tuple(
-        Region((i * spec.clients + spec.client_id) * block, block)
-        for i in range(spec.accesses)
-    ))
-    mem = RegionList([Region(0, spec.accesses * block)])
+    step = spec.clients * block
+    file_regions = regions_at(
+        range(spec.client_id * block, spec.accesses * step, step), block)
+    mem = RegionList([(0, spec.accesses * block)])
     return AccessPlan(mem, file_regions)
 
 
@@ -151,37 +151,36 @@ class FlashSpec:
         return gen_flash(self)
 
 
-def flash_file_regions(spec: FlashSpec) -> Iterator[Region]:
-    stride = spec.region_bytes
-    for v in range(spec.nvars):
-        for b in range(spec.nblocks):
-            yield Region(((v * spec.nblocks + b) * spec.procs + spec.proc_id) * stride,
-                         stride)
+def flash_file_regions(spec: FlashSpec) -> RegionList:
+    """One region per (variable, block), variable-major, then block: the
+    processor's share of each variable's blocks, all processors' blocks
+    interleaved."""
+    size = spec.region_bytes
+    step = spec.procs * size
+    return regions_at(
+        range(spec.proc_id * size, spec.file_region_count * step, step), size)
 
 
-def flash_mem_regions(spec: FlashSpec) -> Iterator[Region]:
+def flash_mem_regions(spec: FlashSpec) -> RegionList:
+    """One element-sized region per interior element, variable-major, then
+    block, then z, y and x: each block's variable is the same pattern of
+    offsets, moved."""
     es = spec.element_size
     side = spec.cube_side
     g = spec.guard
     elem_bytes = spec.nvars * es
-    for v in range(spec.nvars):
-        var_off = v * es
-        for b in range(spec.nblocks):
-            block_base = b * spec.mem_block_bytes + var_off
-            for z in range(spec.nb):
-                plane = ((z + g) * side + g) * side + g
-                for y in range(spec.nb):
-                    row_base = block_base + (plane + y * side) * elem_bytes
-                    for x in range(spec.nb):
-                        yield Region(row_base + x * elem_bytes, es)
+    pattern = [(((z + g) * side + y + g) * side + x + g) * elem_bytes
+               for z in range(spec.nb) for y in range(spec.nb)
+               for x in range(spec.nb)]
+    bases = (b * spec.mem_block_bytes + v * es
+             for v in range(spec.nvars) for b in range(spec.nblocks))
+    return regions_at(
+        chain.from_iterable(map(base.__add__, pattern) for base in bases), es)
 
 
 def gen_flash(spec: FlashSpec) -> AccessPlan:
     from .client import AccessPlan
-    return AccessPlan(
-        RegionList(flash_mem_regions(spec)),
-        RegionList(flash_file_regions(spec)),
-    )
+    return AccessPlan(flash_mem_regions(spec), flash_file_regions(spec))
 
 
 @dataclass(frozen=True)
@@ -256,12 +255,11 @@ class TiledSpec:
 def gen_tiled(spec: TiledSpec) -> AccessPlan:
     from .client import AccessPlan
     bpp = spec.bytes_per_pixel
-    width = spec.width
-    regions = RegionList._wrap(tuple(
-        Region(((spec.origin_y + row) * width + spec.origin_x) * bpp, spec.row_bytes)
-        for row in range(spec.tile_h)
-    ))
-    mem = RegionList([Region(0, spec.tile_bytes)])
+    step = spec.width * bpp
+    first = spec.origin_y * step + spec.origin_x * bpp
+    regions = regions_at(range(first, first + spec.tile_h * step, step),
+                         spec.row_bytes)
+    mem = RegionList([(0, spec.tile_bytes)])
     return AccessPlan(mem, regions)
 
 
@@ -294,9 +292,9 @@ def oracle_file_image(specs: Sequence, plans: Sequence, seed: int) -> bytearray:
     for spec, plan in zip(specs, plans):
         data = client_stream(seed, name, spec.client_id, plan.total_length)
         pos = 0
-        for r in plan.file:
-            image[r.offset : r.end] = data[pos : pos + r.length]
-            pos += r.length
+        for offset, length in plan.file:
+            image[offset : offset + length] = data[pos : pos + length]
+            pos += length
     return image
 
 

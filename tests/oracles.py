@@ -14,7 +14,6 @@ from listio_pfs.errors import PlanError
 from listio_pfs.regions import (
     MAX_LIST_REGIONS,
     Message,
-    Region,
     RegionList,
     stripe_chunks,
     strided_runs,
@@ -241,8 +240,7 @@ def split_by_server_reference(file_regions, sp, limit=MAX_LIST_REGIONS):
             chunk = fragments[i : i + limit]
             messages.append(Message(
                 slot,
-                RegionList._wrap(tuple(Region(local, take)
-                                       for local, take, _pos in chunk)),
+                RegionList([(local, take) for local, take, _pos in chunk]),
                 strided_runs((p, take) for _local, take, p in chunk),
             ))
     return messages

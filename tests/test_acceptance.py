@@ -62,14 +62,14 @@ def report(n, label, detail=""):
 
 
 def test_criterion_1_flash_request_counts(cluster):
-    # full-size accounting, streamed (no materialized million-entry plan)
+    # full-size accounting, over the packed million-entry memory list
     spec = FlashSpec(procs=1, proc_id=0)
     pieces = count_transfer_pieces(flash_mem_regions(spec), flash_file_regions(spec))
     assert pieces == 983040
     counts = flash_counts(spec)
     assert counts["multiple_requests"] == pieces == 983040
     assert counts["list_requests"] == 30
-    plan_bytes = sum(r.length for r in flash_mem_regions(spec))
+    plan_bytes = sum(n for _offset, n in flash_mem_regions(spec))
     assert plan_bytes == counts["plan_bytes"] == 7864320
 
     # extent fits one 32 MiB sieving window for every proc at P <= 4
@@ -78,8 +78,7 @@ def test_criterion_1_flash_request_counts(cluster):
             regions = list(flash_file_regions(FlashSpec(procs=procs, proc_id=proc)))
             ext = extent(RegionList(regions))
             assert ext.length <= 32 * MIB
-            assert count_windows([(r.offset, r.length) for r in regions],
-                                 32 * MIB) == 1
+            assert count_windows(regions, 32 * MIB) == 1
 
     # live run at one-tenth block count; counts tie back by formula
     config = BenchConfig(
@@ -396,7 +395,7 @@ def test_criterion_7_serialization_safety(cluster):
     want = bytearray(base)
     for i in range(8):
         pos = 0
-        for off, ln in [(r.offset, r.length) for r in plans[i].file]:
+        for off, ln in plans[i].file:
             want[off : off + ln] = streams[i][pos : pos + ln]
             pos += ln
     final = reassemble_file(cluster.storage_roots, handle, sp, len(base))

@@ -1004,9 +1004,8 @@ class TestOneStripe:
             opcode = wire.READ if reading else wire.WRITE
             want = [[] for _ in five_stubs]
             for message in messages:
-                (region,) = message.regions
-                want[message.slot].append((opcode, region.offset,
-                                           region.length))
+                local_offset, local_length = message.regions
+                want[message.slot].append((opcode, local_offset, local_length))
             assert [server.log for server in five_stubs] == want
             if end != "past":
                 assert len(messages) == 1
@@ -1647,3 +1646,20 @@ class TestScatterGather:
         assert staging.rows == [8 * 24 * 8] * (spec.nblocks * 64)
         assert [len(range(*index.indices(len(staging))))
                 for index in staging.slices] == [spec.nblocks * 512] * 24
+
+
+class TestStrategyTable:
+    def test_each_strategy_has_one_access_per_direction(self):
+        assert list(client_module.ACCESSES) == [
+            (strategy, direction) for strategy in ("multiple", "sieving", "list")
+            for direction in ("read", "write")]
+        assert client_module.ACCESSES["sieving", "read"] is access_sieving_read
+        assert client_module.ACCESSES["sieving", "write"] is access_sieving_write
+        from listio_pfs import bench
+        assert bench.STRATEGIES == ("multiple", "sieving", "list")
+
+    @pytest.mark.parametrize("access", [access_multiple, access_list])
+    def test_a_bad_direction_is_a_value_error(self, access):
+        with pytest.raises(ValueError, match="direction must be 'read' or "
+                                             "'write', got 'sideways'"):
+            access(None, None, bytearray(1), "sideways")

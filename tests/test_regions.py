@@ -1,3 +1,6 @@
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from listio_pfs.regions import (
     fan_out,
     inverse_stripe_location,
     iter_transfer_pieces,
+    regions_at,
     server_spans,
     split_by_server,
     stripe_chunks,
@@ -92,20 +96,22 @@ class TestRegionListChecks:
     @given(st.lists(st.tuples(st.integers(-2, 1000) | edge,
                               st.integers(-2, 1000) | edge), max_size=8))
     def test_columns_are_checked_as_entries_are(self, regions):
-        offsets = [o for o, _n in regions]
-        lengths = [n for _o, n in regions]
+        flat = [value for pair in regions for value in pair]
+        lengths = flat[1::2]
         bad = [r for r in regions
                if r[1] <= 0 or r[0] < 0 or r[0] + r[1] > 2**64 - 1]
+        builds = [lambda: RegionList(regions)]
+        if all(0 <= value <= 2**64 - 1 for value in flat):  # fits a table
+            builds.append(lambda: RegionList.from_table(array("Q", flat)))
         outcomes = []
-        for build in (lambda: RegionList(regions),
-                      lambda: RegionList.from_columns(offsets, lengths)):
+        for build in builds:
             try:
                 rl = build()
             except PlanError as exc:
                 outcomes.append(str(exc))
             else:
                 outcomes.append((list(rl), rl.total_length))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[-1]
         if bad:
             assert repr(Region(*bad[0])) in outcomes[0]
         else:
@@ -143,7 +149,7 @@ class TestSplitByServer:
             pos += length
         rl = RegionList(regions)
         # file offset of every file-order position, flattened independently
-        file_byte = [r.offset + j for r in rl for j in range(r.length)]
+        file_byte = [offset + j for offset, n in rl for j in range(n)]
         out = split_by_server(rl, sp, limit)
         assert [m.slot for m in out] == sorted(m.slot for m in out)
         assert sum(m.regions.total_length for m in out) == rl.total_length
@@ -152,15 +158,15 @@ class TestSplitByServer:
         for server, part, runs in out:
             assert 1 <= len(part) <= limit
             stretches = expand_runs(runs)
-            assert [n for _pos, n in stretches] == [r.length for r in part]
-            for r, (at, _n) in zip(part, stretches):
-                assert r.offset > prev.get(server, -1)  # sorted by local offset
-                prev[server] = r.offset
-                for j in range(r.length):
-                    here = inverse_stripe_location(server, r.offset + j, sp)
+            assert [n for _pos, n in stretches] == [n for _off, n in part]
+            for (offset, n), (at, _n) in zip(part, stretches):
+                assert offset > prev.get(server, -1)  # sorted by local offset
+                prev[server] = offset
+                for j in range(n):
+                    here = inverse_stripe_location(server, offset + j, sp)
                     assert here == file_byte[at + j]
                     back.add(here)
-        assert back == region_byte_set([(r.offset, r.length) for r in rl])
+        assert back == region_byte_set(list(rl))
 
 
     @given(data=st.data(), pcount=st.integers(1, 9), ssize=st.integers(1, 48),
@@ -205,18 +211,18 @@ class TestServerSpans:
             split_runs.setdefault(server, []).extend(expand_runs(runs))
         assert set(spans) == set(split)
         for server, part in split.items():
-            assert spans[server].offset == part[0].offset
-            assert spans[server].length == sum(r.length for r in part)
+            assert spans[server].offset == part[0][0]
+            assert spans[server].length == sum(n for _off, n in part)
             # fragments of a contiguous range are locally adjacent
-            end = part[0].offset
-            for r in part:
-                assert r.offset == end
-                end = r.end
+            end = part[0][0]
+            for off, n in part:
+                assert off == end
+                end = off + n
         # the contiguous fan-out sends each server its span as one message
         # of at most three runs carrying the split's file-order bytes
         contiguous = fan_out(offset, length, sp)
         assert [m.slot for m in contiguous] == list(spans)
-        for server, (span,), runs in contiguous:
+        for server, span, runs in contiguous:
             assert span == spans[server]
             assert len(runs) <= 3
             assert (region_bytes(expand_runs(runs))
@@ -250,7 +256,7 @@ class TestFanOutShapes:
         out = fan_out(offset, length, self.SP4)
         assert len(out) == 4
         assert all(len(m.runs) <= 3 for m in out)
-        assert sum(m.regions.total_length for m in out) == length
+        assert sum(m.regions.length for m in out) == length
         whole = [run for m in out for run in m.runs if run[4] > 1]
         assert {(run[2], run[3]) for run in whole} == {(16384, 65536)}
 
@@ -363,8 +369,8 @@ class TestExtent:
         for proc in (0, 1):
             spec = FlashSpec(procs=2, proc_id=proc)
             regions = list(flash_file_regions(spec))
-            lo = min(r.offset for r in regions)
-            hi = max(r.end for r in regions)
+            lo = min(offset for offset, _n in regions)
+            hi = max(offset + n for offset, n in regions)
             got = extent(RegionList(regions))
             assert got == Region(lo, hi - lo)
             assert hi - lo == 15724544  # frozen from the min/max scan
@@ -395,6 +401,48 @@ class TestRegionList:
         assert RegionList([(0, 4), (4, 1)]).is_sorted_disjoint()
         assert not RegionList([(0, 4), (3, 1)]).is_sorted_disjoint()
         assert RegionList().is_sorted_disjoint()
+
+    def test_regions_at_packs_regions_of_one_size(self):
+        rl = regions_at(range(0, 40, 10), 4)
+        assert rl == RegionList([(0, 4), (10, 4), (20, 4), (30, 4)])
+        assert rl.total_length == 16
+        assert list(regions_at([2**64 - 5], 4)) == [(2**64 - 5, 4)]
+        assert regions_at([], 4) == RegionList()
+
+    @pytest.mark.parametrize("offsets,size", [
+        ([0, 8], 0), ([0], -1), ([-1], 4), ([2**64 - 4], 4), ([2**64], 1)])
+    def test_regions_at_refuses_what_a_list_cannot_hold(self, offsets, size):
+        with pytest.raises(PlanError):
+            regions_at(offsets, size)
+
+    def test_a_list_holds_16_bytes_a_region(self):
+        # Its one table of offset, length pairs, and nothing per region.
+        n = 20000
+        regions = [(i * 10, 5) for i in range(n)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rl = RegionList(regions)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rl) == n and list(rl) == regions
+        assert held <= 16 * n + 1024
+
+    def test_iteration_yields_pairs_and_indexing_regions(self):
+        rl = RegionList([(0, 4), (10, 2), (20, 6)])
+        assert list(rl) == [(0, 4), (10, 2), (20, 6)]
+        assert all(type(pair) is tuple for pair in rl)
+        assert rl[1] == Region(10, 2) and type(rl[1]) is Region
+        assert rl[-1] == Region(20, 6) and rl[-3] == Region(0, 4)
+        with pytest.raises(IndexError):
+            rl[3]
+        with pytest.raises(IndexError):
+            rl[-4]
+        assert rl[1:] == RegionList([(10, 2), (20, 6)])
+        assert rl[1:].total_length == 8
+        assert rl[::2] == RegionList([(0, 4), (20, 6)])
+        assert rl[2:1] == RegionList()
 
 
 class TestStripeChunks:

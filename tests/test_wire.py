@@ -1,7 +1,9 @@
 import random
 import socket
 import struct
+import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,58 @@ class TestRegionTable:
         entries = [(0, 4), (2**64 - 9, 8)]
         _header, regions = wire.decode_request(raw_list_request(entries, 12))
         assert list(regions) == entries and regions.total_length == 12
+
+
+@st.composite
+def table_entries(draw):
+    """1 to 64 (offset, length) entries that end inside the 64-bit byte
+    space and whose lengths total no more than a header's 64-bit length,
+    offsets drawn near 0, near 2**32 and near 2**64 alike."""
+    entries, budget = [], 2**64 - 1
+    for _ in range(draw(st.integers(1, wire.MAX_LIST_REGIONS))):
+        offset = draw(st.integers(0, 2**20) | st.integers(2**32 - 8, 2**32 + 8)
+                      | st.integers(2**64 - 2**20, 2**64 - 2))
+        most = min(2**64 - 1 - offset, budget)
+        if most < 1:
+            break
+        length = draw(st.integers(1, min(most, 2**20)) | st.just(most))
+        budget -= length
+        entries.append((offset, length))
+    return entries
+
+
+class TestPackedTable:
+    """A RegionList's table goes on the wire as it is: the bytes are those
+    of packing each entry alone, little-endian, whatever the host."""
+
+    @staticmethod
+    def framed(entries):
+        regions = RegionList(entries)
+        header = wire.IoRequestHeader(wire.READ_LIST, 7, 1, 0,
+                                      regions.total_length, len(regions))
+        return regions, header, wire.encode_request(header, regions)
+
+    @given(entries=table_entries())
+    @settings(max_examples=300)
+    def test_the_table_is_each_entry_packed_in_turn(self, entries):
+        regions, header, raw = self.framed(entries)
+        assert raw == raw_list_request(entries, regions.total_length)
+        assert wire.decode_request(raw) == (header, regions)
+        assert list(wire.decode_request(raw)[1]) == entries
+
+    @given(entries=table_entries())
+    @settings(max_examples=100)
+    def test_the_big_endian_branch_swaps_both_ways(self, entries):
+        # The branch swaps a big-endian host's table into little-endian
+        # order. Forced on a little-endian host it must put each entry's
+        # big-endian packing on the wire, and decode must swap it back.
+        swapped = ">" if sys.byteorder == "little" else "<"
+        with mock.patch.object(wire, "_BIG_ENDIAN", True):
+            regions, header, raw = self.framed(entries)
+            assert raw[wire.HEADER_SIZE:] == b"".join(
+                struct.pack(f"{swapped}QQ", *entry) for entry in entries)
+            assert wire.decode_request(raw) == (header, regions)
+        assert list(regions) == entries  # the list's own table is unswapped
 
 
 class TestRejection:

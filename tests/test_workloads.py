@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from listio_pfs.errors import WorkloadError
@@ -34,13 +36,13 @@ class TestCyclic:
     def test_small_example_matches_interleaver(self, client, expected_offsets):
         spec = CyclicSpec(clients=2, client_id=client, total_bytes=64, accesses=4)
         plan = gen_cyclic(spec)
-        assert [r.offset for r in plan.file] == expected_offsets
-        assert all(r.length == 8 for r in plan.file)
+        assert [offset for offset, _n in plan.file] == expected_offsets
+        assert all(n == 8 for _offset, n in plan.file)
         # cross-check with the block-walking interleaver
         streams = [bytes([c]) * 32 for c in range(2)]
         image = interleave_cyclic(2, 64, 4, streams)
-        for r in plan.file:
-            assert image[r.offset : r.end] == bytes([client]) * 8
+        for offset, n in plan.file:
+            assert image[offset : offset + n] == bytes([client]) * 8
 
     def test_single_access_is_contiguous(self):
         spec = CyclicSpec(clients=2, client_id=1, total_bytes=64, accesses=1)
@@ -57,7 +59,7 @@ class TestCyclic:
         seen = set()
         for spec in specs:
             plan = gen_cyclic(spec)
-            bytes_here = region_byte_set([(r.offset, r.length) for r in plan.file])
+            bytes_here = region_byte_set(list(plan.file))
             assert not (seen & bytes_here)
             seen |= bytes_here
         assert seen == set(range(4096))
@@ -87,17 +89,17 @@ class TestFlash:
         assert len(plan.file) == 1
         assert plan.file[0].length == 4096
         assert len(plan.mem) == 512
-        assert all(r.length == 8 for r in plan.mem)
+        assert all(n == 8 for _offset, n in plan.mem)
 
     def test_matches_elementwise_reference(self):
         spec = FlashSpec(procs=2, proc_id=1, nblocks=3, nb=2, guard=1, nvars=2)
         plan = gen_flash(spec)
         ref_mem, ref_file_offsets = flash_reference_layout(2, 1, 3, 2, 1, 2, 8)
-        assert [(r.offset, r.length) for r in plan.mem] == ref_mem
+        assert list(plan.mem) == ref_mem
         # plan's k-th byte must land at the reference's k-th file position
         flat = []
-        for r in plan.file:
-            flat.extend(range(r.offset, r.end))
+        for offset, n in plan.file:
+            flat.extend(range(offset, offset + n))
         ref_flat = []
         for off in ref_file_offsets:
             ref_flat.extend(range(off, off + 8))
@@ -105,8 +107,8 @@ class TestFlash:
 
     def test_memory_regions_are_single_elements(self):
         spec = FlashSpec(procs=2, proc_id=0, nblocks=2)
-        for i, r in enumerate(flash_mem_regions(spec)):
-            assert r.length == 8
+        for i, (_offset, n) in enumerate(flash_mem_regions(spec)):
+            assert n == 8
             if i > 200:
                 break
 
@@ -116,10 +118,25 @@ class TestFlash:
         seen = set()
         for spec in specs:
             plan = gen_flash(spec)
-            here = region_byte_set([(r.offset, r.length) for r in plan.file])
+            here = region_byte_set(list(plan.file))
             assert not (seen & here)
             seen |= here
         assert seen == set(range(specs[0].file_bytes))
+
+    def test_a_large_plan_is_built_in_bounded_memory(self):
+        # 98,304 element regions, packed at 16 bytes each: the plan's build
+        # peaks under 20 bytes a memory region, everything included.
+        import listio_pfs.client  # noqa: F401  (compiled outside the count)
+
+        spec = FlashSpec(procs=2, proc_id=0, nblocks=8)
+        tracemalloc.start()
+        try:
+            plan = gen_flash(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(plan.mem) == spec.mem_region_count == 98304
+        assert peak < 20 * spec.mem_region_count
 
     def test_file_grows_per_proc(self):
         assert FlashSpec(procs=3, proc_id=0).file_bytes == 3 * 7864320
@@ -140,7 +157,7 @@ class TestTiled:
             spec = TiledSpec(tile_x=tx, tile_y=ty)
             plan = gen_tiled(spec)
             expected = tiled_reference_rows(3, 2, 1024, 768, 3, 270, 128, tx, ty)
-            assert [(r.offset, r.length) for r in plan.file] == expected
+            assert list(plan.file) == expected
 
     def test_first_row_of_origin_tile_starts_at_zero(self):
         plan = gen_tiled(TiledSpec(tile_x=0, tile_y=0))
@@ -167,7 +184,7 @@ class TestTiled:
             start = j * (spec.tile_h - spec.overlap_y)
             y_bands.update(range(start, start + spec.overlap_y))
         plans = [gen_tiled(s) for s in client_specs(spec)]
-        sets = [region_byte_set([(r.offset, r.length) for r in p.file])
+        sets = [region_byte_set(list(p.file))
                 for p in plans]
         for a in range(len(sets)):
             for b in range(a + 1, len(sets)):

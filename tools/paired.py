@@ -4,8 +4,9 @@
         --pairs cyclic-small=10 --pairs cyclic-large=3 --pairs flash-write=3
 
 Run it from the root of the checkout that holds the change. It checks the
-parent out with `git worktree` in a temporary directory, removed again on
-every exit path, then runs K parent/change pairs per workload of
+parent out in a `git clone` of the checkout in a temporary directory,
+removed again on every exit path, then runs K parent/change pairs per
+workload of
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -213,7 +214,9 @@ def main(argv=None) -> int:
     tmp = tempfile.mkdtemp(prefix="paired-")
     parent = os.path.join(tmp, "parent")
     try:
-        _git(change, "worktree", "add", "--detach", parent, args.parent)
+        sha = _git(change, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
+        _git(tmp, "clone", "--quiet", "--no-checkout", change, parent)
+        _git(parent, "checkout", "--quiet", "--detach", sha)
         result = {
             "command": RUN + ["--seconds", str(seconds), "--trace", "0"],
             "parent": tree_info(parent),
@@ -242,11 +245,7 @@ def main(argv=None) -> int:
             for line in room_lines(workload, summary):
                 print(line, file=sys.stderr, flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", parent],
-                       cwd=change, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=change,
-                       capture_output=True)
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)
         f.write("\n")
